@@ -144,8 +144,9 @@ Tensor SectionReader::tensor() {
   }
   need(static_cast<std::size_t>(elems) * sizeof(float), "tensor payload");
   Tensor t(shape);
-  std::memcpy(t.data(), data_ + pos_,
-              static_cast<std::size_t>(elems) * sizeof(float));
+  if (elems > 0)  // memcpy needs valid pointers even for a zero count
+    std::memcpy(t.data(), data_ + pos_,
+                static_cast<std::size_t>(elems) * sizeof(float));
   pos_ += static_cast<std::size_t>(elems) * sizeof(float);
   return t;
 }

@@ -26,50 +26,28 @@ constexpr std::uint32_t kCalibSectionVersion = 1;
 std::atomic<std::int64_t> g_calibration_runs{0};
 
 /// Analog execution of one conv lowering: `cols` is the (taps × pixels)
-/// patch matrix, each pixel an independent MVM (disjoint output columns;
-/// the sim's statistics merge is commutative), so pixels run on the
-/// worker pool.
+/// patch matrix of a whole batch — pixels may span samples — and every
+/// pixel is an independent MVM, so the matrix goes to the sim lane-major
+/// as it is: one call per layer per batch, (out_ch × pixels) back.
 Tensor analog_conv_mvm(AnalogLayerSim& sim, const Tensor& cols,
                        const xbar::QuantParams& quant, bool signed_input,
                        std::int64_t out_ch) {
-  const std::int64_t rows = cols.dim(0);
   const std::int64_t pixels = cols.dim(1);
-  // Gather the patch matrix into row-major samples and stream the whole
-  // pixel batch through the plan in one call (parallel inside, fused
-  // sample loop on the clip-free path) — bit-identical to per-pixel calls.
-  std::vector<float> xs(static_cast<std::size_t>(rows * pixels));
-  for (std::int64_t p = 0; p < pixels; ++p)
-    for (std::int64_t r = 0; r < rows; ++r)
-      xs[static_cast<std::size_t>(p * rows + r)] = cols.at(r, p);
-  const auto y = sim.mvm_real_batch(xs, pixels, quant, signed_input);
-  const auto ycols = static_cast<std::int64_t>(y.size()) / std::max<
-      std::int64_t>(pixels, 1);
   Tensor out({out_ch, pixels});
-  for (std::int64_t p = 0; p < pixels; ++p)
-    for (std::int64_t f = 0; f < out_ch; ++f)
-      out.at(f, p) = y[static_cast<std::size_t>(p * ycols + f)];
+  sim.mvm_real_lanes(cols.data(), pixels, quant, signed_input, out.data());
   return out;
 }
 
-/// Analog execution of one linear layer: batch samples are independent
-/// MVMs — same batched contract as the conv pixel loop.
+/// Analog execution of one linear layer: the (batch × in_features) input
+/// is already `batch` row-major samples, and the (batch × out_features)
+/// output their results.
 Tensor analog_linear_mvm(AnalogLayerSim& sim, const Tensor& input,
                          const xbar::QuantParams& quant, bool signed_input,
                          std::int64_t out_features) {
   const std::int64_t batch = input.dim(0);
-  const std::int64_t in_features = input.dim(1);
-  std::vector<float> xs(static_cast<std::size_t>(batch * in_features));
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t k = 0; k < in_features; ++k)
-      xs[static_cast<std::size_t>(n * in_features + k)] = input.at(n, k);
-  const auto y = sim.mvm_real_batch(xs, batch, quant, signed_input);
-  const auto ycols = static_cast<std::int64_t>(y.size()) / std::max<
-      std::int64_t>(batch, 1);
-  Tensor out({batch, out_features});
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t o = 0; o < out_features; ++o)
-      out.at(n, o) = y[static_cast<std::size_t>(n * ycols + o)];
-  return out;
+  const std::vector<float> xs(input.data(), input.data() + input.numel());
+  auto y = sim.mvm_real_batch(xs, batch, quant, signed_input);
+  return Tensor({batch, out_features}, std::move(y));
 }
 
 }  // namespace
@@ -286,8 +264,18 @@ double AnalogNetwork::evaluate(const data::Dataset& test,
   return seen ? static_cast<double>(correct) / static_cast<double>(seen) : 0.0;
 }
 
+nn::Model AnalogNetwork::session_replica() const {
+  nn::Model replica = model_.clone();
+  const auto source = model_.prunable_views();
+  const auto views = replica.prunable_views();
+  for (std::size_t i = 0; i < views.size(); ++i)
+    views[i].weight->value = source[i].weight->value;  // shares storage
+  for (nn::Param* p : replica.params()) p->grad = Tensor();
+  return replica;
+}
+
 AnalogSession::AnalogSession(const AnalogNetwork& compiled)
-    : compiled_(compiled), model_(compiled.model().clone()) {
+    : compiled_(compiled), model_(compiled.session_replica()) {
   TINYADC_CHECK(compiled_.calibrated(),
                 "AnalogSession requires a calibrated AnalogNetwork");
   // Hook the replica's prunable layers to the shared simulators. The hooks

@@ -88,13 +88,52 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
                        kernel_,      kernel_,      stride_,
                        padding_};
   input_shape_ = input.shape();
-  const bool use_hook = !training && mvm_hook_ != nullptr;
-  // The MVM hook consumes one per-sample patch matrix at a time (the analog
-  // backend's contract), so hooked inference always takes the per-sample
-  // path; everything else runs batched unless the reference path was
-  // requested explicitly.
-  if (!use_hook && use_batched_) return forward_batched(input, training);
-  return forward_reference(input, training, use_hook);
+  if (!training && mvm_hook_ != nullptr) return forward_hooked(input);
+  if (use_batched_) return forward_batched(input, training);
+  return forward_reference(input, training);
+}
+
+Tensor Conv2d::forward_hooked(const Tensor& input) {
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t p = geom_.out_h() * geom_.out_w();
+  const std::int64_t bp = batch * p;
+
+  // One [taps, N·p] patch matrix for the whole batch, offered to the hook
+  // in a single call. It is a per-call buffer, not ws_cols_, freed before
+  // the output is allocated: inference replicas (one per serving worker)
+  // keep no patch workspace alive.
+  std::optional<Tensor> hooked;
+  {
+    Tensor cols({geom_.patch_rows(), bp});
+    im2col_batch(input.data(), batch, geom_, cols.data());
+    hooked = mvm_hook_(cols);
+  }
+  // No result (calibration): the per-sample reference GEMM computes the
+  // output, so calibration numerics match the un-hooked reference path.
+  if (!hooked.has_value()) return forward_reference(input, false);
+  TINYADC_CHECK(hooked->numel() == out_channels_ * bp,
+                "Conv2d " << name() << ": MVM hook returned "
+                          << shape_to_string(hooked->shape()) << ", expected "
+                          << shape_to_string({out_channels_, bp}));
+
+  // Scatter [F, N·p] → (N, F, oh, ow), adding the bias exactly as the
+  // per-sample reference path does.
+  Tensor output({batch, out_channels_, geom_.out_h(), geom_.out_w()});
+  const float* b = has_bias_ ? bias_.value.data() : nullptr;
+  for (std::int64_t n = 0; n < batch; ++n) {
+    float* dst = output.data() + n * out_channels_ * p;
+    for (std::int64_t f = 0; f < out_channels_; ++f) {
+      const float* src = hooked->data() + f * bp + n * p;
+      if (b != nullptr) {
+        for (std::int64_t i = 0; i < p; ++i) dst[f * p + i] = src[i] + b[f];
+      } else {
+        std::copy(src, src + p, dst + f * p);
+      }
+    }
+  }
+  cols_.clear();
+  cache_valid_ = false;
+  return output;
 }
 
 Tensor Conv2d::forward_batched(const Tensor& input, bool training) {
@@ -136,8 +175,7 @@ Tensor Conv2d::forward_batched(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Conv2d::forward_reference(const Tensor& input, bool training,
-                                 bool use_hook) {
+Tensor Conv2d::forward_reference(const Tensor& input, bool training) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t oh = geom_.out_h();
   const std::int64_t ow = geom_.out_w();
@@ -160,18 +198,7 @@ Tensor Conv2d::forward_reference(const Tensor& input, bool training,
               image.data());
     Tensor cols = im2col(image, geom_);
     Tensor out2d({out_channels_, p});
-    std::optional<Tensor> hooked;
-    if (use_hook) hooked = mvm_hook_(cols);
-    if (hooked.has_value()) {
-      TINYADC_CHECK(hooked->numel() == out2d.numel(),
-                    "Conv2d " << name() << ": MVM hook returned "
-                              << shape_to_string(hooked->shape())
-                              << ", expected "
-                              << shape_to_string(out2d.shape()));
-      out2d.copy_from(*hooked);
-    } else {
-      gemm(w2d, false, cols, false, out2d);
-    }
+    gemm(w2d, false, cols, false, out2d);
     float* dst = output.data() + n * out_channels_ * p;
     const float* src = out2d.data();
     if (has_bias_) {
@@ -185,19 +212,11 @@ Tensor Conv2d::forward_reference(const Tensor& input, bool training,
     if (training) cols_[static_cast<std::size_t>(n)] = std::move(cols);
   };
 
-  if (use_hook) {
-    // Hooked inference stays serial here; the analog backend parallelizes
-    // inside the hook (per pixel / per sample — see msim::AnalogNetwork).
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    // Samples are independent (disjoint output and cache slots), so the
-    // batch fans out; the per-sample gemm then runs inline on its worker.
-    runtime::parallel_for(0, batch, 1,
-                          [&](std::int64_t n0, std::int64_t n1) {
-                            for (std::int64_t n = n0; n < n1; ++n)
-                              run_sample(n);
-                          });
-  }
+  // Samples are independent (disjoint output and cache slots), so the
+  // batch fans out; the per-sample gemm then runs inline on its worker.
+  runtime::parallel_for(0, batch, 1, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) run_sample(n);
+  });
   return output;
 }
 

@@ -14,7 +14,9 @@ namespace tinyadc::nn {
 /// flattens to the 2-D (C·Kh·Kw) × F matrix the crossbar mapper consumes
 /// (each 2-D column = one filter, matching Fig. 3 of the paper).
 ///
-/// Two execution paths:
+/// Inference with an MVM hook installed (see MvmHook) lowers the whole
+/// batch once into a per-call (patch_rows × batch·patch_cols) matrix and
+/// offers it to the hook in one call; otherwise one of two paths runs:
 ///  * **batched** (default): the whole batch is lowered into one
 ///    (patch_rows × batch·patch_cols) matrix held in a persistent grow-only
 ///    workspace — one GEMM for forward, two for backward, no per-sample
@@ -84,7 +86,8 @@ class Conv2d final : public Layer {
 
   Tensor forward_batched(const Tensor& input, bool training);
   Tensor backward_batched(const Tensor& grad_output);
-  Tensor forward_reference(const Tensor& input, bool training, bool use_hook);
+  Tensor forward_hooked(const Tensor& input);
+  Tensor forward_reference(const Tensor& input, bool training);
   Tensor backward_reference(const Tensor& grad_output);
   void invalidate_cache();
 

@@ -21,14 +21,18 @@ namespace tinyadc::nn {
 ///
 /// When installed, the layer's *inference* forward pass offers its input
 /// matrix to the hook instead of running the float GEMM:
-///  * Conv2d passes the per-sample im2col patch matrix (patch_rows ×
-///    patch_cols) and expects (out_channels × patch_cols) back (pre-bias);
+///  * Conv2d passes one im2col patch matrix for the whole batch
+///    (patch_rows × batch·patch_cols; sample n owns the column block
+///    [n·patch_cols, (n+1)·patch_cols), so the pixels of one call span
+///    samples) and expects (out_channels × batch·patch_cols) back
+///    (pre-bias) — one call per layer per batch;
 ///  * Linear passes the (batch × in_features) input and expects
 ///    (batch × out_features) back (pre-bias).
-/// Returning std::nullopt falls back to the normal float path (used e.g.
-/// during activation-range calibration). Training passes never consult the
-/// hook. This is how msim::AnalogNetwork routes a whole model's inference
-/// through the mixed-signal crossbar simulator.
+/// Returning std::nullopt falls back to the float path — for Conv2d the
+/// per-sample reference GEMM — as activation-range calibration does.
+/// Training passes never consult the hook. This is how
+/// msim::AnalogNetwork routes a whole model's inference through the
+/// mixed-signal crossbar simulator.
 using MvmHook = std::function<std::optional<Tensor>(const Tensor& input)>;
 
 class Layer;

@@ -1,8 +1,5 @@
 #include "xbar/quant.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "tensor/check.hpp"
 
 namespace tinyadc::xbar {
@@ -23,18 +20,6 @@ QuantParams fit_unsigned(float max_value, int bits) {
   const auto qmax = static_cast<float>((1 << bits) - 1);
   p.scale = (max_value > 0.0F) ? max_value / qmax : 1.0F;
   return p;
-}
-
-std::int32_t quantize_signed(float v, const QuantParams& p) {
-  const std::int32_t qmax = (1 << (p.bits - 1)) - 1;
-  const auto q = static_cast<std::int32_t>(std::lround(v / p.scale));
-  return std::clamp(q, -qmax, qmax);
-}
-
-std::int32_t quantize_unsigned(float v, const QuantParams& p) {
-  const std::int32_t qmax = (1 << p.bits) - 1;
-  const auto q = static_cast<std::int32_t>(std::lround(v / p.scale));
-  return std::clamp(q, 0, qmax);
 }
 
 float dequantize(std::int32_t q, const QuantParams& p) {

@@ -20,10 +20,39 @@ QuantParams fit_signed(float max_abs, int bits);
 /// Chooses a scale so that `max_value` maps to the largest unsigned code.
 QuantParams fit_unsigned(float max_value, int bits);
 
+/// The one quantizer: v / scale rounded to nearest with ties away from
+/// zero (std::lround's rounding), saturated to [lo, hi] (lo <= 0 <= hi).
+/// Saturation happens in the floating domain *before* narrowing, so values
+/// far out of range — including ±inf — clamp to the nearest bound instead
+/// of wrapping through a 64→32-bit conversion, and NaN maps to 0. The body
+/// is branch-free: the batch quantize passes of msim inline it into loops
+/// the compiler vectorizes.
+inline std::int32_t quantize_code(float v, float scale, std::int32_t lo,
+                                  std::int32_t hi) {
+  float q = v / scale;
+  q = q == q ? q : 0.0F;  // NaN → 0
+  const auto flo = static_cast<float>(lo);
+  const auto fhi = static_cast<float>(hi);
+  q = q < flo ? flo : q;
+  q = q > fhi ? fhi : q;
+  // Code ranges are at most 16 bits wide, so |q| <= 2^16 here: the
+  // truncation is exact, and so is the fraction (a float's fractional part
+  // is always representable).
+  const auto t = static_cast<std::int32_t>(q);
+  const float frac = q - static_cast<float>(t);
+  return t + static_cast<std::int32_t>(frac >= 0.5F) -
+         static_cast<std::int32_t>(frac <= -0.5F);
+}
+
 /// Quantizes one value to a signed code (round-to-nearest, saturating).
-std::int32_t quantize_signed(float v, const QuantParams& p);
+inline std::int32_t quantize_signed(float v, const QuantParams& p) {
+  const std::int32_t qmax = (1 << (p.bits - 1)) - 1;
+  return quantize_code(v, p.scale, -qmax, qmax);
+}
 /// Quantizes one value to an unsigned code (negative inputs clamp to 0).
-std::int32_t quantize_unsigned(float v, const QuantParams& p);
+inline std::int32_t quantize_unsigned(float v, const QuantParams& p) {
+  return quantize_code(v, p.scale, 0, (1 << p.bits) - 1);
+}
 /// Reconstructs the real value of a code.
 float dequantize(std::int32_t q, const QuantParams& p);
 

@@ -1,9 +1,13 @@
 // Sparsity-packed execution plans: the packed O(l)-per-column mvm path must
 // reproduce the legacy dense O(r) row scan bit for bit — outputs AND ADC
 // statistics — for every non-ideality combination, CP rate and thread
-// count. Plus the shift-and-add int64 overflow guard.
+// count. Plus the shift-and-add int64 overflow guard, and the batch-wide
+// lane-major conv path against batch-1 forwards and the dense oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include "core/projection.hpp"
@@ -406,6 +410,199 @@ TEST_P(BatchApiEquivalence, BatchedMatchesPerSample) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchApiEquivalence, ::testing::Values(1,
                                                                          4));
+
+/// Every layer's counters, summed.
+MsimStats network_stats(const AnalogNetwork& net) {
+  MsimStats total;
+  for (const auto& sim : net.sims()) {
+    const MsimStats s = sim->stats_snapshot();
+    total.adc_conversions += s.adc_conversions;
+    total.adc_clip_events += s.adc_clip_events;
+    total.dac_cycles += s.dac_cycles;
+  }
+  return total;
+}
+
+MsimStats operator-(const MsimStats& a, const MsimStats& b) {
+  return {a.adc_conversions - b.adc_conversions,
+          a.adc_clip_events - b.adc_clip_events, a.dac_cycles - b.dac_cycles};
+}
+
+void expect_same_counters(const MsimStats& a, const MsimStats& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.adc_conversions, b.adc_conversions) << what;
+  EXPECT_EQ(a.adc_clip_events, b.adc_clip_events) << what;
+  EXPECT_EQ(a.dac_cycles, b.dac_cycles) << what;
+}
+
+bool same_bits(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+/// Largest fused per-polarity partial Σ|q|·code_max over every (block,
+/// column, polarity) of the mapped network: above INT32_MAX the fused
+/// kernel must take its int64 partials.
+std::int64_t worst_fused_sum(const xbar::MappedNetwork& net) {
+  const std::int64_t code_max = (std::int64_t{1} << net.config.input_bits) - 1;
+  std::int64_t worst = 0;
+  for (const auto& layer : net.layers)
+    for (const auto& b : layer.blocks)
+      for (std::int64_t c = 0; c < b.cols; ++c) {
+        std::int64_t pos = 0, neg = 0;
+        for (std::int64_t r = 0; r < b.rows; ++r) {
+          const std::int32_t q = b.at(r, c);
+          (q > 0 ? pos : neg) += std::abs(q);
+        }
+        worst = std::max({worst, pos * code_max, neg * code_max});
+      }
+  return worst;
+}
+
+nn::ModelConfig lane_model_config() {
+  nn::ModelConfig mc;
+  mc.num_classes = 4;
+  mc.image_size = 8;
+  mc.width_mult = 0.0625F;
+  return mc;
+}
+
+data::DatasetPair lane_data() {
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.image_size = 8;
+  spec.train_per_class = 8;
+  spec.test_per_class = 3;
+  spec.seed = 23;
+  return data::make_synthetic(spec);
+}
+
+/// One datapath regime for the lane-kernel sweep.
+struct LaneCase {
+  const char* name;
+  int weight_bits;
+  int input_bits;
+  double variation_sigma;  ///< > 0 takes the non-fused fallback
+  bool wide;               ///< fused partials overflow int32
+};
+
+const LaneCase kLaneCases[] = {
+    {"narrow", 8, 8, 0.0, false},
+    {"wide", 16, 16, 0.0, true},
+    {"variation", 8, 8, 0.1, false},
+};
+
+/// The batch-wide hooked conv (one lane-major patch matrix per layer per
+/// batch) must agree bit for bit — logits and all three counters — with
+/// batch-1 forwards and with the dense use_plan=false oracle, for batch
+/// sizes whose pixel counts fill lane tiles exactly and partially, at 1
+/// and 4 threads, on narrow and wide fused partials and on the non-fused
+/// fallback. The resnet stem sees signed pixels, every later layer
+/// unsigned post-ReLU activations, so both input modes run.
+class LaneKernelEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  void TearDown() override { runtime::set_thread_count(0); }
+};
+
+TEST_P(LaneKernelEquivalence, BatchWideConvMatchesPerSampleAndDense) {
+  const auto [threads, case_index] = GetParam();
+  const LaneCase& lc = kLaneCases[case_index];
+  runtime::set_thread_count(threads);
+
+  const auto model = nn::resnet18(lane_model_config());
+  nn::Model dense_model = model->clone();
+  const auto data = lane_data();
+  xbar::MappingConfig map_cfg;
+  map_cfg.dims = {16, 16};
+  map_cfg.weight_bits = lc.weight_bits;
+  map_cfg.input_bits = lc.input_bits;
+  const auto net = xbar::map_model(*model, map_cfg);
+  if (lc.wide)
+    EXPECT_GT(worst_fused_sum(net), INT32_MAX);
+  else
+    EXPECT_LE(worst_fused_sum(net), INT32_MAX);
+
+  MsimConfig cfg;
+  cfg.variation_sigma = lc.variation_sigma;
+  MsimConfig dense_cfg = cfg;
+  dense_cfg.use_plan = false;
+  AnalogNetwork packed(*model, net, cfg);
+  AnalogNetwork dense(dense_model, net, dense_cfg);
+  packed.calibrate(data.train, 8);
+  dense.calibrate(data.train, 8);
+  ASSERT_TRUE(packed.signed_input().front());  // raw pixels into the stem
+  ASSERT_FALSE(packed.signed_input().back());
+
+  for (const std::size_t batch : {1, 2, 3, 8, 9}) {
+    const std::string what = std::string(lc.name) + " threads=" +
+                             std::to_string(threads) +
+                             " N=" + std::to_string(batch);
+    std::vector<std::size_t> idx(batch);
+    for (std::size_t i = 0; i < batch; ++i) idx[i] = i;
+    const Tensor images = data.test.subset(idx).images;
+
+    MsimStats before = network_stats(packed);
+    const Tensor logits = packed.forward(images);
+    const MsimStats batched = network_stats(packed) - before;
+
+    before = network_stats(packed);
+    const std::int64_t k = logits.dim(1);
+    for (std::size_t i = 0; i < batch; ++i) {
+      const Tensor one = packed.forward(data.test.subset({i}).images);
+      EXPECT_TRUE(same_bits(one.data(),
+                            logits.data() + static_cast<std::int64_t>(i) * k,
+                            k))
+          << what << " sample " << i;
+    }
+    expect_same_counters(batched, network_stats(packed) - before,
+                         what + " vs batch-1");
+
+    before = network_stats(dense);
+    const Tensor oracle = dense.forward(images);
+    EXPECT_TRUE(same_bits(oracle.data(), logits.data(), logits.numel()))
+        << what << " vs dense";
+    expect_same_counters(batched, network_stats(dense) - before,
+                         what + " vs dense");
+    EXPECT_GT(batched.adc_conversions, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndRegimes, LaneKernelEquivalence,
+    ::testing::Combine(::testing::Values(1, 4), ::testing::Values(0, 1, 2)));
+
+/// Calibration offers the hook one batch-wide patch matrix per layer; the
+/// ranges and signed-input flags it fits must equal those of calibrating
+/// on each image alone and merging (max of scales, OR of flags — the
+/// scale is monotone in the observed maximum).
+TEST(LaneKernelEquivalence, BatchWideCalibrationMatchesPerSample) {
+  const auto model = nn::resnet18(lane_model_config());
+  const auto data = lane_data();
+  xbar::MappingConfig map_cfg;
+  map_cfg.dims = {16, 16};
+  const auto net = xbar::map_model(*model, map_cfg);
+  constexpr std::size_t kImages = 9;
+
+  AnalogNetwork batched(*model, net, {});
+  batched.calibrate(data.train, kImages);
+
+  std::vector<float> scale(net.layers.size(), 0.0F);
+  std::vector<bool> signed_input(net.layers.size(), false);
+  for (std::size_t i = 0; i < kImages; ++i) {
+    nn::Model replica = model->clone();
+    AnalogNetwork single(replica, net, {});
+    single.calibrate(data.train.subset({i}), 1);
+    for (std::size_t l = 0; l < net.layers.size(); ++l) {
+      scale[l] = std::max(scale[l], single.activation_quant()[l].scale);
+      signed_input[l] = signed_input[l] || single.signed_input()[l];
+    }
+  }
+  for (std::size_t l = 0; l < net.layers.size(); ++l) {
+    EXPECT_EQ(batched.activation_quant()[l].scale, scale[l]) << "layer " << l;
+    EXPECT_EQ(batched.activation_quant()[l].bits, map_cfg.input_bits);
+  }
+  EXPECT_EQ(batched.signed_input(), signed_input);
+}
 
 TEST(OverflowGuard, AcceptsPaperConfiguration) {
   tinyadc::Rng rng(2);

@@ -1,6 +1,12 @@
 // Quantization and MLC slicing round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "xbar/quant.hpp"
 
 namespace tinyadc::xbar {
@@ -43,6 +49,114 @@ TEST(Quant, BitBoundsValidated) {
   EXPECT_THROW(fit_signed(1.0F, 1), tinyadc::CheckError);
   EXPECT_THROW(fit_signed(1.0F, 17), tinyadc::CheckError);
   EXPECT_THROW(fit_unsigned(1.0F, 0), tinyadc::CheckError);
+}
+
+QuantParams unit_scale(int bits) {
+  QuantParams p;
+  p.bits = bits;
+  p.scale = 1.0F;
+  return p;
+}
+
+TEST(Quant, RoundsTiesAwayFromZero) {
+  const auto p = unit_scale(8);
+  for (int k = 0; k < 127; ++k) {
+    const float tie = static_cast<float>(k) + 0.5F;
+    EXPECT_EQ(quantize_unsigned(tie, p), k + 1) << tie;
+    EXPECT_EQ(quantize_signed(tie, p), k + 1) << tie;
+    EXPECT_EQ(quantize_signed(-tie, p), -(k + 1)) << -tie;
+  }
+  // The largest float below 0.5: adding 0.5 and truncating would round
+  // it up; lround (and the quantizer) must not.
+  EXPECT_EQ(quantize_unsigned(0.49999997F, p), 0);
+  EXPECT_EQ(quantize_signed(0.49999997F, p), 0);
+  EXPECT_EQ(quantize_signed(-0.49999997F, p), 0);
+}
+
+TEST(Quant, HalfStepsAroundQmax) {
+  const auto p = unit_scale(8);
+  EXPECT_EQ(quantize_unsigned(254.5F, p), 255);
+  EXPECT_EQ(quantize_unsigned(254.49F, p), 254);
+  EXPECT_EQ(quantize_unsigned(255.5F, p), 255);
+  EXPECT_EQ(quantize_signed(126.5F, p), 127);
+  EXPECT_EQ(quantize_signed(126.49F, p), 126);
+  EXPECT_EQ(quantize_signed(127.5F, p), 127);
+  EXPECT_EQ(quantize_signed(-126.5F, p), -127);
+  EXPECT_EQ(quantize_signed(-127.5F, p), -127);
+}
+
+TEST(Quant, NegativeInputs) {
+  const auto p = unit_scale(8);
+  EXPECT_EQ(quantize_unsigned(-3.7F, p), 0);
+  EXPECT_EQ(quantize_unsigned(-0.0F, p), 0);
+  EXPECT_EQ(quantize_signed(-3.7F, p), -4);
+  EXPECT_EQ(quantize_signed(-3.2F, p), -3);
+}
+
+TEST(Quant, SaturatesFarOutOfRangeWithoutWrapping) {
+  // v / scale = 3e9 overflows int32: narrowing before clamping used to
+  // wrap it negative (unsigned → 0, signed → −qmax).
+  QuantParams p = unit_scale(8);
+  p.scale = 0.5F;
+  EXPECT_EQ(quantize_unsigned(1.5e9F, p), 255);
+  EXPECT_EQ(quantize_signed(1.5e9F, p), 127);
+  EXPECT_EQ(quantize_unsigned(-1.5e9F, p), 0);
+  EXPECT_EQ(quantize_signed(-1.5e9F, p), -127);
+  EXPECT_EQ(quantize_unsigned(1e30F, p), 255);
+  EXPECT_EQ(quantize_signed(1e30F, p), 127);
+  EXPECT_EQ(quantize_signed(-1e30F, p), -127);
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(quantize_unsigned(inf, p), 255);
+  EXPECT_EQ(quantize_signed(inf, p), 127);
+  EXPECT_EQ(quantize_unsigned(-inf, p), 0);
+  EXPECT_EQ(quantize_signed(-inf, p), -127);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(quantize_unsigned(nan, p), 0);
+  EXPECT_EQ(quantize_signed(nan, p), 0);
+}
+
+TEST(Quant, MatchesLroundAcrossTheFloatLine) {
+  // Strided sweep over every float bit pattern: wherever v / scale fits a
+  // long, the quantizer must equal std::lround clamped to the code range.
+  for (const int bits : {1, 4, 8, 16}) {
+    for (const float scale : {1.0F, 0.043F, 3.7F}) {
+      QuantParams p;
+      p.bits = bits;
+      p.scale = scale;
+      const long umax = (1L << bits) - 1;
+      const long smax = (1L << (bits - 1)) - 1;
+      std::int64_t checked = 0;
+      for (std::uint64_t u = 0; u <= 0xFFFFFFFFULL; u += 4093) {
+        const auto v = std::bit_cast<float>(static_cast<std::uint32_t>(u));
+        const float q = v / scale;
+        if (!std::isfinite(q) || std::fabs(q) >= 1e18F) continue;
+        const long r = std::lround(q);
+        ASSERT_EQ(quantize_unsigned(v, p), std::clamp(r, 0L, umax))
+            << "v=" << v << " bits=" << bits << " scale=" << scale;
+        if (bits >= 2) {
+          ASSERT_EQ(quantize_signed(v, p), std::clamp(r, -smax, smax))
+              << "v=" << v << " bits=" << bits << " scale=" << scale;
+        }
+        ++checked;
+      }
+      // Dense pass over the code range itself, where rounding matters.
+      for (long k = -umax - 2; k <= umax + 2; ++k)
+        for (const float f : {0.0F, 0.25F, 0.49999997F, 0.5F, 0.50000006F,
+                              0.75F}) {
+          for (const float v : {(static_cast<float>(k) + f) * scale,
+                                (static_cast<float>(k) - f) * scale}) {
+            const long r = std::lround(v / scale);
+            ASSERT_EQ(quantize_unsigned(v, p), std::clamp(r, 0L, umax))
+                << "v=" << v;
+            if (bits >= 2) {
+              ASSERT_EQ(quantize_signed(v, p), std::clamp(r, -smax, smax))
+                  << "v=" << v;
+            }
+          }
+        }
+      EXPECT_GT(checked, 500000);
+    }
+  }
 }
 
 TEST(CellsPerWeight, PaperConfiguration) {
