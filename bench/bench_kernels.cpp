@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -113,26 +114,16 @@ Tensor cp_bench_matrix(std::int64_t keep) {
   return m;
 }
 
-/// Plan-executor selection for the CP benchmarks: 0 = legacy dense row
-/// scan, 1..4 = packed plan with PlanKernel kAuto/kAos/kSoa/kBitslice.
-msim::MsimConfig cp_bench_sim_config(std::int64_t executor) {
-  msim::MsimConfig sim_cfg;
-  if (executor == 0) {
-    sim_cfg.use_plan = false;
-  } else {
-    sim_cfg.plan_kernel = static_cast<msim::PlanKernel>(executor - 1);
-  }
-  return sim_cfg;
-}
-
-/// Analog MVM at CP sparsity l = range(0) of r = 128 crossbar rows across
-/// the plan executors (range(1): see cp_bench_sim_config).
+/// Analog MVM at CP sparsity l = range(0) of r = 128 crossbar rows, through
+/// the packed plan (range(1) = 1) or the dense row scan (range(1) = 0).
 void BM_AnalogMvmCp(benchmark::State& state) {
   const Tensor m = cp_bench_matrix(state.range(0));
   xbar::MappingConfig cfg;
   cfg.dims = {128, 128};
   const auto layer = xbar::map_matrix(m, "bench", cfg);
-  msim::AnalogLayerSim sim(layer, cp_bench_sim_config(state.range(1)));
+  msim::MsimConfig sim_cfg;
+  sim_cfg.use_plan = state.range(1) != 0;
+  msim::AnalogLayerSim sim(layer, sim_cfg);
   Rng rng(7);
   std::vector<std::int32_t> x(512);
   for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(256));
@@ -142,12 +133,9 @@ void BM_AnalogMvmCp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalogMvmCp)
-    ->ArgNames({"l", "exec"})
+    ->ArgNames({"l", "plan"})
     ->Args({16, 0})
     ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 3})
-    ->Args({16, 4})
     ->Args({4, 1})
     ->Args({128, 1});
 
@@ -159,11 +147,25 @@ using bench::fnv1a;
 
 /// A sweep kernel: does a fixed amount of work and returns a digest of its
 /// output bytes. The same kernel is run at each thread count; digests must
-/// match the 1-thread run exactly.
+/// match the 1-thread run exactly, and the reference digest when one is set
+/// (the same product computed, untimed, by the dense oracle).
 struct SweepKernel {
   std::string name;
   std::function<std::uint64_t()> run;
+  std::optional<std::uint64_t> reference = std::nullopt;
 };
+
+/// Digest of 16 mvm() calls on `x`, folded order-sensitively: XORing the
+/// digests of 16 identical outputs would cancel to zero and prove nothing.
+std::uint64_t digest_mvms(msim::AnalogLayerSim& sim,
+                          const std::vector<std::int32_t>& x) {
+  std::uint64_t h = 0;
+  for (int rep = 0; rep < 16; ++rep) {
+    const auto y = sim.mvm(x);
+    h = (h ^ fnv1a(y.data(), sizeof(y[0]) * y.size())) * 1099511628211ULL;
+  }
+  return h;
+}
 
 std::vector<SweepKernel> make_sweep_kernels() {
   std::vector<SweepKernel> kernels;
@@ -206,31 +208,17 @@ std::vector<SweepKernel> make_sweep_kernels() {
     msim::AnalogLayerSim sim(layer, {});
     std::vector<std::int32_t> x(512);
     for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(256));
-    std::uint64_t h = 0;
-    for (int rep = 0; rep < 16; ++rep) {
-      const auto y = sim.mvm(x);
-      h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
-    }
-    return h;
+    return digest_mvms(sim, x);
   }});
 
-  // The acceptance case (ISSUE 3, re-cut by ISSUE 7): analog MVM at CP
-  // sparsity l = 16 of r = 128 through every executor. The fixture (matrix
-  // generation, mapping, plan compilation) is hoisted out of the timed
-  // region — these rows measure exactly 16 mvm() calls, i.e. the executor
-  // itself, which is what the SoA/bit-slice work optimizes. All five rows
-  // compute the same product, so their digests must agree across *kernels*
-  // as well as thread counts (checked in run_thread_sweep).
+  // Analog MVM at CP sparsity l = 16 of r = 128: the dense row scan, the
+  // packed plan under its own path selection (the fused clip-free path at
+  // Eq. 1 ADC sizing), and the clip regime — the same plan with the ADC
+  // two bits below Eq. 1, which selects the vector path. The fixture
+  // (matrix generation, mapping, plan compilation) is hoisted out of the
+  // timed region, so each row measures exactly 16 mvm() calls. The plan
+  // rows must reproduce an untimed dense run of their own configuration.
   {
-    struct CpCase {
-      const char* name;
-      std::int64_t executor;  // cp_bench_sim_config encoding
-    };
-    const CpCase cases[] = {
-        {"analog_mvm_cp16_dense", 0},    {"analog_mvm_cp16_plan", 1},
-        {"analog_mvm_cp16_aos", 2},      {"analog_mvm_cp16_soa", 3},
-        {"analog_mvm_cp16_bitslice", 4},
-    };
     const Tensor m = cp_bench_matrix(16);
     xbar::MappingConfig cfg;
     cfg.dims = {128, 128};
@@ -239,18 +227,25 @@ std::vector<SweepKernel> make_sweep_kernels() {
     auto x = std::make_shared<std::vector<std::int32_t>>(512);
     Rng rng(7);
     for (auto& v : *x) v = static_cast<std::int32_t>(rng.uniform_int(256));
-    for (const auto& c : cases) {
-      auto sim = std::make_shared<msim::AnalogLayerSim>(
-          *layer, cp_bench_sim_config(c.executor));
-      kernels.push_back({c.name, [sim, x, layer] {
-        std::uint64_t h = 0;
-        for (int rep = 0; rep < 16; ++rep) {
-          const auto y = sim->mvm(*x);
-          h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
-        }
-        return h;
-      }});
-    }
+    msim::MsimConfig clip;
+    clip.adc_bits_override = layer->required_adc_bits() - 2;
+    msim::MsimConfig dense;
+    dense.use_plan = false;
+    const auto add = [&](const char* name, const msim::MsimConfig& sim_cfg,
+                         bool check) {
+      auto sim = std::make_shared<msim::AnalogLayerSim>(*layer, sim_cfg);
+      SweepKernel k{name, [sim, x, layer] { return digest_mvms(*sim, *x); }};
+      if (check) {
+        msim::MsimConfig oracle_cfg = sim_cfg;
+        oracle_cfg.use_plan = false;
+        msim::AnalogLayerSim oracle(*layer, oracle_cfg);
+        k.reference = digest_mvms(oracle, *x);
+      }
+      kernels.push_back(std::move(k));
+    };
+    add("analog_mvm_cp16_dense", dense, false);
+    add("analog_mvm_cp16_plan", {}, true);
+    add("analog_mvm_cp16_clip", clip, true);
   }
 
   return kernels;
@@ -279,10 +274,6 @@ int run_thread_sweep(const std::string& json_path) {
 
   std::vector<bench::KernelTiming> rows;
   bool all_identical = true;
-  // The analog_mvm_cp16_* rows compute the identical product through
-  // different executors — their digests must also agree with each other.
-  std::uint64_t cp16_digest = 0;
-  bool cp16_seen = false;
   for (const auto& kernel : kernels) {
     std::uint64_t baseline = 0;
     for (const int threads : thread_counts) {
@@ -302,15 +293,10 @@ int run_thread_sweep(const std::string& json_path) {
                   row.identical ? "bit-identical" : "MISMATCH");
       rows.push_back(row);
     }
-    if (kernel.name.rfind("analog_mvm_cp16", 0) == 0) {
-      if (!cp16_seen) {
-        cp16_digest = baseline;
-        cp16_seen = true;
-      } else if (baseline != cp16_digest) {
-        std::printf("%-24s digest DIVERGES from the other cp16 executors\n",
-                    kernel.name.c_str());
-        all_identical = false;
-      }
+    if (kernel.reference && baseline != *kernel.reference) {
+      std::printf("%-24s digest DIVERGES from the dense oracle\n",
+                  kernel.name.c_str());
+      all_identical = false;
     }
   }
   runtime::set_thread_count(0);  // restore default resolution

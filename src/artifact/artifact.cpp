@@ -37,9 +37,7 @@ void write_meta(const ArtifactMeta& meta, SectionWriter& w) {
 }
 
 ArtifactMeta read_meta(SectionReader& r) {
-  const auto version = r.pod<std::uint32_t>();
-  TINYADC_CHECK(version == kMetaSectionVersion,
-                "unsupported META section version " << version);
+  read_payload_version(r, kMetaSectionVersion);
   ArtifactMeta meta;
   meta.arch = r.str();
   meta.model_name = r.str();
@@ -81,9 +79,7 @@ void write_prune(const std::vector<core::LayerPruneSpec>& specs,
 
 void read_prune(SectionReader& r, std::vector<core::LayerPruneSpec>& specs,
                 std::vector<core::StructuralSelection>& selections) {
-  const auto version = r.pod<std::uint32_t>();
-  TINYADC_CHECK(version == kPruneSectionVersion,
-                "unsupported PRUNE section version " << version);
+  read_payload_version(r, kPruneSectionVersion);
   const auto nspecs = r.pod<std::uint64_t>();
   TINYADC_CHECK(nspecs <= kMaxLayers,
                 "PRUNE section claims " << nspecs << " specs");

@@ -1,6 +1,12 @@
 #include "artifact/format.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "artifact/mmap_file.hpp"
@@ -10,9 +16,8 @@ namespace tinyadc::artifact {
 
 namespace {
 
-// Minimum alignment the *reader* enforces on section offsets — kept at the
-// original 8 so pre-v3 files (written with 8-byte section alignment) still
-// validate. The writer now lays sections out at kPayloadAlign (64).
+// Minimum alignment the *reader* enforces on section offsets (see
+// kPayloadAlign: the writer lays sections out 64-aligned).
 constexpr std::size_t kAlign = 8;
 constexpr std::uint64_t kMaxStringBytes = 1ULL << 20;
 constexpr std::uint64_t kMaxTensorRank = 8;
@@ -20,6 +25,35 @@ constexpr std::uint64_t kMaxTensorExtent = 1ULL << 32;
 
 std::size_t align_up(std::size_t n) {
   return (n + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
+}
+
+/// Writes all `n` bytes at `p` to `fd`, retrying short and interrupted
+/// writes.
+void write_all(int fd, const char* p, std::size_t n, const std::string& path) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, p, n);
+    if (w < 0 && errno == EINTR) continue;
+    TINYADC_CHECK(w > 0, "write failure on " << path << ": "
+                                             << std::strerror(errno));
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+}
+
+/// fsyncs the directory holding `path`, making a rename into it durable.
+/// File systems that cannot sync a directory (EINVAL) are accepted.
+void sync_parent_dir(const std::string& path) {
+  const auto parent = std::filesystem::path(path).parent_path();
+  const std::filesystem::path dir = parent.empty() ? "." : parent;
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  TINYADC_CHECK(fd >= 0, "cannot open directory " << dir << ": "
+                                                  << std::strerror(errno));
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  TINYADC_CHECK(rc == 0 || err == EINVAL,
+                "cannot sync directory " << dir << ": "
+                                         << std::strerror(err));
 }
 
 }  // namespace
@@ -151,6 +185,15 @@ Tensor SectionReader::tensor() {
   return t;
 }
 
+void read_payload_version(SectionReader& r, std::uint32_t current) {
+  const auto version = r.pod<std::uint32_t>();
+  TINYADC_CHECK(version == current,
+                "section '" << r.name() << "' holds payload v" << version
+                            << ", but this build reads only v" << current
+                            << "; regenerate the artifact with `tinyadc "
+                               "map|prune|train ... --save-artifact <path>`");
+}
+
 // --- ArtifactWriter --------------------------------------------------------
 
 ArtifactWriter::ArtifactWriter(std::string path) : path_(std::move(path)) {}
@@ -169,41 +212,68 @@ void ArtifactWriter::finish() {
   TINYADC_CHECK(!finished_, "ArtifactWriter::finish called twice");
   finished_ = true;
 
+  // Header and table. Offsets are assigned in order, each aligned up to
+  // kPayloadAlign so mapped section payloads (and the vec_aligned arrays
+  // inside them, whose padding is defined relative to the file) start on
+  // 64-byte boundaries.
   const std::size_t header = 16 + sections_.size() * 24;  // 24 B per entry
-  std::ofstream os(path_, std::ios::binary);
-  TINYADC_CHECK(os.is_open(), "cannot open " << path_ << " for writing");
-  os.write(kMagic, sizeof(kMagic));
+  std::vector<char> head;
+  head.reserve(header);
+  const auto put = [&head](const void* p, std::size_t n) {
+    const auto* c = static_cast<const char*>(p);
+    head.insert(head.end(), c, c + n);
+  };
   const std::uint32_t version = kFormatVersion;
   const auto count = static_cast<std::uint32_t>(sections_.size());
-  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-
-  // Table: offsets assigned in order, each aligned up to kPayloadAlign so
-  // mapped section payloads (and the vec_aligned arrays inside them, whose
-  // padding is defined relative to the file) start on 64-byte boundaries.
+  put(kMagic, sizeof(kMagic));
+  put(&version, sizeof(version));
+  put(&count, sizeof(count));
   std::size_t cursor = align_up(header);
   for (const auto& [tag, writer] : sections_) {
     char tag8[8] = {};
     std::memcpy(tag8, tag.data(), tag.size());
-    os.write(tag8, sizeof(tag8));
     const auto offset = static_cast<std::uint64_t>(cursor);
     const auto length = static_cast<std::uint64_t>(writer.bytes().size());
-    os.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
-    os.write(reinterpret_cast<const char*>(&length), sizeof(length));
+    put(tag8, sizeof(tag8));
+    put(&offset, sizeof(offset));
+    put(&length, sizeof(length));
     cursor = align_up(cursor + writer.bytes().size());
   }
 
-  std::size_t written = header;
-  const char pad[kPayloadAlign] = {};
-  for (const auto& [tag, writer] : sections_) {
-    const std::size_t aligned = align_up(written);
-    os.write(pad, static_cast<std::streamsize>(aligned - written));
-    os.write(writer.bytes().data(),
-             static_cast<std::streamsize>(writer.bytes().size()));
-    written = aligned + writer.bytes().size();
+  // Publish atomically. Tenants mmap artifacts MAP_PRIVATE and execute the
+  // plan streams in place, so the destination's inode must never be
+  // rewritten under them: write a temporary file in the same directory,
+  // fsync it, rename it over the destination (a live mapping keeps the old
+  // inode) and fsync the directory so the rename is durable.
+  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  TINYADC_CHECK(fd >= 0, "cannot open " << tmp << " for writing: "
+                                        << std::strerror(errno));
+  try {
+    write_all(fd, head.data(), head.size(), tmp);
+    std::size_t written = header;
+    const char pad[kPayloadAlign] = {};
+    for (const auto& [tag, writer] : sections_) {
+      const std::size_t aligned = align_up(written);
+      write_all(fd, pad, aligned - written, tmp);
+      write_all(fd, writer.bytes().data(), writer.bytes().size(), tmp);
+      written = aligned + writer.bytes().size();
+    }
+    TINYADC_CHECK(::fsync(fd) == 0,
+                  "cannot sync " << tmp << ": " << std::strerror(errno));
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
   }
-  os.flush();
-  TINYADC_CHECK(static_cast<bool>(os), "write failure on " << path_);
+  if (::close(fd) != 0 || ::rename(tmp.c_str(), path_.c_str()) != 0) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
+    TINYADC_CHECK(false, "cannot publish " << path_ << ": "
+                                           << std::strerror(err));
+  }
+  sync_parent_dir(path_);
 }
 
 // --- ArtifactFile ----------------------------------------------------------

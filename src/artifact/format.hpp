@@ -19,12 +19,15 @@
 // every access through SectionReader, so truncated or malformed artifacts
 // fail with an explicit CheckError instead of bad_alloc or silent garbage.
 //
-// Versioning/compat policy: the container version only changes when the
+// Versioning policy: the container version only changes when the
 // header/table layout changes. Section payloads are versioned by their
-// producer (each domain section starts with its own u32 version), so adding
-// a new section or bumping one section's layout never invalidates the rest.
-// Readers reject unknown container versions and unknown *required* section
-// versions; unknown extra sections are ignored.
+// producer (each domain section starts with its own u32 version). A build
+// reads exactly one payload version per section — the one it writes — and
+// rejects any other with a CheckError naming both versions and the command
+// that regenerates the artifact (read_payload_version). Artifacts are
+// build outputs, so regenerating one is always possible; carrying readers
+// for retired layouts is not worth their code. Unknown extra sections are
+// ignored.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +50,9 @@ constexpr std::uint32_t kFormatVersion = 1;
 
 /// Alignment of every section start and every vec_aligned payload, chosen
 /// so mapped spans land on cache-line (and SIMD-register) boundaries. The
-/// container keeps its original 8-byte *minimum* (old readers only check
-/// %8), but the writer has laid sections out 64-aligned since payload v3.
+/// container table only requires an 8-byte minimum, so a file from a build
+/// that laid sections out 8-aligned still parses far enough to be rejected
+/// by its payload versions, with the regenerating command in the message.
 constexpr std::size_t kPayloadAlign = 64;
 
 /// Magic at offset 0 of every artifact file.
@@ -84,7 +88,7 @@ class SectionWriter {
   }
 
   /// Appends an array as u64 count, zero padding up to the next 64-byte
-  /// boundary, then raw element bytes — the v3 "aligned array" encoding.
+  /// boundary, then raw element bytes — the "aligned array" encoding.
   /// Because every section payload starts 64-aligned in the file, padding
   /// relative to the payload start equals padding relative to the file, so
   /// a mapped reader can hand the data out as an aligned zero-copy span.
@@ -236,8 +240,15 @@ class SectionReader {
   std::shared_ptr<const void> keeper_;
 };
 
+/// Reads a domain section's leading u32 payload version and requires it to
+/// equal `current`, the one version this build reads and writes. Any other
+/// version throws a CheckError that names the section, the version found,
+/// the version this build reads, and the command that regenerates the
+/// artifact.
+void read_payload_version(SectionReader& r, std::uint32_t current);
+
 /// Assembles an artifact: sections are registered in order, then finish()
-/// lays them out with 8-byte-aligned offsets and writes the file.
+/// lays them out with 64-byte-aligned offsets and publishes the file.
 class ArtifactWriter {
  public:
   /// Opens a writer targeting `path` (written on finish()).
@@ -247,8 +258,10 @@ class ArtifactWriter {
   /// returns its payload writer.
   SectionWriter& section(const std::string& tag);
 
-  /// Writes header, table and payloads to the target path; throws
-  /// CheckError on I/O failure. Must be called exactly once.
+  /// Writes header, table and payloads to `<path>.tmp.<pid>`, fsyncs it
+  /// and renames it over the target path, so a process that has the old
+  /// file mapped keeps reading the old bytes. Throws CheckError on I/O
+  /// failure (the temporary file is removed). Must be called exactly once.
   void finish();
 
  private:

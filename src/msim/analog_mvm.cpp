@@ -18,15 +18,6 @@
 #define TINYADC_PREFETCH(addr) ((void)0)
 #endif
 
-// Vectorized popcount for the bitslice path: TINYADC_NATIVE=ON builds on
-// AVX-512 VPOPCNTDQ hardware (Ice Lake+) get the intrinsic lane below.
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
-#include <immintrin.h>
-#define TINYADC_HAS_VPOPCNTQ 1
-#else
-#define TINYADC_HAS_VPOPCNTQ 0
-#endif
-
 namespace tinyadc::msim {
 
 namespace {
@@ -78,34 +69,6 @@ inline std::int64_t adc_code_int(std::int64_t isum, int bits,
   return isum;
 }
 
-/// Population count of `a[i] & b[i]` over `n` words — the bitslice path's
-/// plane reduction. Dispatch is compile-time: eligibility is a property of
-/// the target ISA, not the input. On AVX-512 VPOPCNTDQ targets the AND and
-/// popcount of eight words fuse into two instructions per 512-bit lane;
-/// elsewhere std::popcount lowers to hardware POPCNT (-march=native) or the
-/// portable SWAR sequence. Bit-exact either way: both sides count the same
-/// set bits, and the int64 accumulator cannot overflow (≤ 64 per word).
-inline std::int64_t popcount_and_words(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       std::size_t n) {
-#if TINYADC_HAS_VPOPCNTQ
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  std::int64_t pc = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) pc += std::popcount(a[i] & b[i]);
-  return pc;
-#else
-  std::int64_t pc = 0;
-  for (std::size_t i = 0; i < n; ++i) pc += std::popcount(a[i] & b[i]);
-  return pc;
-#endif
-}
-
 }  // namespace
 
 void serialize(const MsimConfig& config, artifact::SectionWriter& w) {
@@ -114,23 +77,15 @@ void serialize(const MsimConfig& config, artifact::SectionWriter& w) {
   w.pod(config.ir_drop_alpha);
   w.pod(config.seed);
   w.pod(static_cast<std::uint8_t>(config.use_plan ? 1 : 0));
-  w.pod(static_cast<std::uint8_t>(config.plan_kernel));
 }
 
-MsimConfig deserialize_msim_config(artifact::SectionReader& r,
-                                   std::uint32_t version) {
+MsimConfig deserialize_msim_config(artifact::SectionReader& r) {
   MsimConfig config;
   config.adc_bits_override = r.pod<std::int32_t>();
   config.variation_sigma = r.pod<double>();
   config.ir_drop_alpha = r.pod<double>();
   config.seed = r.pod<std::uint64_t>();
   config.use_plan = r.pod<std::uint8_t>() != 0;
-  if (version >= 2) {
-    const auto kernel = r.pod<std::uint8_t>();
-    TINYADC_CHECK(kernel <= static_cast<std::uint8_t>(PlanKernel::kBitslice),
-                  "implausible plan kernel " << static_cast<int>(kernel));
-    config.plan_kernel = static_cast<PlanKernel>(kernel);
-  }
   TINYADC_CHECK(config.adc_bits_override >= -1 &&
                     config.adc_bits_override <= 32,
                 "implausible ADC override " << config.adc_bits_override);
@@ -336,33 +291,14 @@ void AnalogLayerSim::finalize_plan() {
     }
   }
 
-  // Execution-path resolution (DESIGN.md §12). The fused collapse requires
-  // the clip-free guarantee; the bitslice packing requires an ideal 1-bit
-  // DAC datapath. Everything else runs the vector (ideal) or general
-  // (non-ideal) sweep. kAos sidesteps the SoA executor entirely.
+  // Execution-path resolution (DESIGN.md §12): one path per datapath
+  // regime. The fused collapse requires the clip-free guarantee; an ideal
+  // datapath that may clip runs the vector sweep, a non-ideal one the
+  // general sweep.
   const bool clip_free = plan_ideal_ && worst_plane_sum_ <= adc_.full_scale();
-  const bool bits_ok = plan_ideal_ && cfg.dac_bits == 1;
-  switch (config_.plan_kernel) {
-    case PlanKernel::kAuto:
-      exec_path_ = clip_free ? ExecPath::kFused
-                   : bits_ok ? ExecPath::kBitslice
-                   : plan_ideal_ ? ExecPath::kVector
-                                 : ExecPath::kGeneral;
-      break;
-    case PlanKernel::kAos:
-      exec_path_ = plan_ideal_ ? ExecPath::kVector : ExecPath::kGeneral;
-      derive_aos_from_soa();
-      break;
-    case PlanKernel::kSoa:
-      exec_path_ = plan_ideal_ ? ExecPath::kVector : ExecPath::kGeneral;
-      break;
-    case PlanKernel::kBitslice:
-      exec_path_ = bits_ok ? ExecPath::kBitslice
-                   : plan_ideal_ ? ExecPath::kVector
-                                 : ExecPath::kGeneral;
-      break;
-  }
-  if (exec_path_ == ExecPath::kBitslice) build_bit_planes();
+  exec_path_ = clip_free     ? ExecPath::kFused
+               : plan_ideal_ ? ExecPath::kVector
+                             : ExecPath::kGeneral;
 
   // Per-MVM work estimate for the parallel dispatch threshold: row slots,
   // weighted by the per-slot inner-loop cost of the resolved path. The
@@ -376,81 +312,6 @@ void AnalogLayerSim::finalize_plan() {
           ? 1
           : static_cast<std::int64_t>(slices) * cycles;
   plan_work_ = static_cast<std::int64_t>(total_slots) * per_slot;
-}
-
-void AnalogLayerSim::derive_aos_from_soa() {
-  // Reconstructs the PR-3 array-of-structs plan from the SoA streams: per
-  // (pair, polarity, slice) plane, the non-zero-level slots in ascending
-  // row order. Used both after build_plan and after an artifact load, so a
-  // restored kAos sim executes byte-identical entry arrays.
-  const int slices = layer_.config.slices();
-  const std::size_t npairs = soa_out_.size();
-  plan_pairs_.clear();
-  plan_offsets_.clear();
-  plan_x_.clear();
-  plan_level_.clear();
-  plan_var_.clear();
-  plan_denom_.clear();
-  plan_pairs_.reserve(npairs);
-  plan_offsets_.reserve(npairs * 2 * static_cast<std::size_t>(slices) + 1);
-  plan_offsets_.push_back(0);
-  for (std::size_t pi = 0; pi < npairs; ++pi) {
-    PairRef pair;
-    pair.out = soa_out_[pi];
-    pair.plane0 = plan_offsets_.size() - 1;
-    plan_pairs_.push_back(pair);
-    for (int pol = 0; pol < 2; ++pol) {
-      const std::size_t k = 2 * pi + static_cast<std::size_t>(pol);
-      const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-      const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-      for (int s = 0; s < slices; ++s) {
-        const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
-        for (std::size_t i = 0; i < len; ++i) {
-          const std::int32_t level = soa_level_[sbase + i];
-          if (level == 0) continue;
-          plan_x_.push_back(soa_row_[i0 + i]);
-          plan_level_.push_back(level);
-          plan_var_.push_back(soa_var_[sbase + i]);
-          plan_denom_.push_back(soa_denom_[i0 + i]);
-        }
-        plan_offsets_.push_back(plan_x_.size());
-      }
-    }
-  }
-}
-
-void AnalogLayerSim::build_bit_planes() {
-  // Packs each segment's slice levels into bit planes, 64 cells per word:
-  // bit b of slice s lands in plane p = s·cell_bits + b, and local row i
-  // sets bit i%64 of word i/64. A plane sum then becomes
-  // Σ_b popcount(plane_word & chunk_word) · 2^b.
-  const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int planes = slices * cfg.cell_bits;
-  const std::size_t nseg = soa_seg_.empty() ? 0 : soa_seg_.size() - 1;
-  bs_base_.assign(nseg + 1, 0);
-  for (std::size_t k = 0; k < nseg; ++k) {
-    const std::size_t words = (soa_seg_[k + 1] - soa_seg_[k] + 63) / 64;
-    bs_base_[k + 1] = bs_base_[k] + words * static_cast<std::size_t>(planes);
-  }
-  bs_words_.assign(bs_base_[nseg], 0);
-  for (std::size_t k = 0; k < nseg; ++k) {
-    const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-    const std::size_t words = (len + 63) / 64;
-    const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-    for (int s = 0; s < slices; ++s) {
-      const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
-      for (std::size_t i = 0; i < len; ++i) {
-        const auto level = static_cast<std::uint32_t>(soa_level_[sbase + i]);
-        for (int b = 0; b < cfg.cell_bits; ++b) {
-          if (((level >> b) & 1U) == 0) continue;
-          const std::size_t p = static_cast<std::size_t>(s * cfg.cell_bits + b);
-          bs_words_[bs_base_[k] + p * words + i / 64] |=
-              std::uint64_t{1} << (i % 64);
-        }
-      }
-    }
-  }
 }
 
 void AnalogLayerSim::dac_split(const std::int32_t* x,
@@ -585,11 +446,10 @@ void AnalogLayerSim::fused_tiles(std::int64_t lanes, int phases,
               static_cast<std::int64_t>(cycles) * phases * lanes);
 }
 
-void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
-                                    const std::int32_t* chunks,
-                                    std::int64_t p0, std::int64_t p1,
-                                    std::int64_t* pair_acc,
-                                    AdcCounters& counters) const {
+void AnalogLayerSim::exec_pairs(const std::int32_t* x,
+                                const std::int32_t* chunks, std::int64_t p0,
+                                std::int64_t p1, std::int64_t* pair_acc,
+                                AdcCounters& counters) const {
   const auto& cfg = layer_.config;
   const int slices = cfg.slices();
   const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
@@ -607,69 +467,11 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       fused_pairs(x, 1, 0, 1, p0, p1, pair_acc, 1, /*by_column=*/false);
       counters.conversions += conv_per_pair * (p1 - p0);
       return;
-    case ExecPath::kBitslice: {
-      // Ideal 1-bit DAC: cycle t's chunk of code x is just bit t, so the
-      // chunk words pack straight from x and every plane sum is a handful
-      // of popcounts over the packed level bit planes.
-      std::size_t max_words = 0;
-      for (std::size_t k = 0; k + 1 < soa_seg_.size(); ++k)
-        max_words = std::max(max_words,
-                             (soa_seg_[k + 1] - soa_seg_[k] + 63) / 64);
-      std::vector<std::uint64_t> cw(static_cast<std::size_t>(cycles) *
-                                    std::max<std::size_t>(max_words, 1));
-      for (std::int64_t pi = p0; pi < p1; ++pi) {
-        std::int64_t acc = 0;
-        std::int64_t convs = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t k =
-              2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
-          const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-          const std::size_t words = (len + 63) / 64;
-          if (pi + 1 < p1)
-            TINYADC_PREFETCH(bs_words_.data() + bs_base_[k + 2]);
-          std::fill(cw.begin(),
-                    cw.begin() + static_cast<std::ptrdiff_t>(
-                                     static_cast<std::size_t>(cycles) * words),
-                    0);
-          for (std::size_t i = 0; i < len; ++i) {
-            const auto xv = static_cast<std::uint32_t>(x[soa_row_[i0 + i]]);
-            const std::size_t w = i / 64;
-            const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-            for (int t = 0; t < cycles; ++t)
-              if ((xv >> t) & 1U) cw[static_cast<std::size_t>(t) * words + w] |=
-                  bit;
-          }
-          const std::uint64_t* plane0 = bs_words_.data() + bs_base_[k];
-          for (int s = 0; s < slices; ++s) {
-            const int sshift = s * cfg.cell_bits;
-            for (int t = 0; t < cycles; ++t) {
-              const std::uint64_t* ct =
-                  cw.data() + static_cast<std::size_t>(t) * words;
-              std::int64_t isum = 0;
-              for (int b = 0; b < cfg.cell_bits; ++b) {
-                const std::uint64_t* pw =
-                    plane0 +
-                    static_cast<std::size_t>(sshift + b) * words;
-                isum += popcount_and_words(pw, ct, words) << b;
-              }
-              const std::int64_t code =
-                  adc_code_int(isum, bits, full_scale, counters.clip_events);
-              acc += (pol == 0 ? 1 : -1) *
-                     (code << (sshift + t * cfg.dac_bits));
-              ++convs;
-            }
-          }
-        }
-        pair_acc[pi] = acc;
-        counters.conversions += convs;
-      }
-      return;
-    }
     case ExecPath::kVector: {
-      // Ideal multi-bit-DAC fallback: gather one cycle's chunks per
+      // Ideal datapath that may clip: gather one cycle's chunks per
       // segment, then a contiguous multiply-accumulate per slice over the
       // rectangular level stream (zeros contribute nothing, so the
-      // rectangle is exact).
+      // rectangle is exact), saturating each conversion.
       std::size_t max_len = 0;
       for (std::size_t k = 0; k + 1 < soa_seg_.size(); ++k)
         max_len = std::max(max_len, soa_seg_[k + 1] - soa_seg_[k]);
@@ -752,53 +554,8 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       }
       return;
     }
-  }
-}
-
-void AnalogLayerSim::exec_pairs_aos(const std::int32_t* chunks,
-                                    std::int64_t p0, std::int64_t p1,
-                                    std::int64_t* pair_acc,
-                                    AdcCounters& counters) const {
-  const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const auto n = static_cast<std::size_t>(layer_.rows);
-  for (std::int64_t pi = p0; pi < p1; ++pi) {
-    const PairRef& pair = plan_pairs_[static_cast<std::size_t>(pi)];
-    const std::size_t* off = plan_offsets_.data() + pair.plane0;
-    std::int64_t acc = 0;
-    for (int polarity : {+1, -1}) {
-      for (int s = 0; s < slices; ++s, ++off) {
-        const std::size_t e0 = off[0], e1 = off[1];
-        for (int t = 0; t < cycles; ++t) {
-          const std::int32_t* ch = chunks + static_cast<std::size_t>(t) * n;
-          double analog;
-          if (plan_ideal_) {
-            // Ideal wires and cells: every operand is a small integer, so
-            // the sum is computed in int64 and is exactly the double the
-            // dense path accumulates (each partial fits a double).
-            std::int64_t isum = 0;
-            for (std::size_t e = e0; e < e1; ++e)
-              isum += static_cast<std::int64_t>(plan_level_[e]) *
-                      ch[plan_x_[e]];
-            analog = static_cast<double>(isum);
-          } else {
-            analog = 0.0;
-            for (std::size_t e = e0; e < e1; ++e) {
-              double contrib = static_cast<double>(plan_level_[e]) *
-                               ch[plan_x_[e]];
-              contrib *= plan_var_[e];
-              contrib /= plan_denom_[e];
-              analog += contrib;
-            }
-          }
-          const std::int64_t code = adc_.convert(analog, counters);
-          acc += polarity *
-                 (code << (s * cfg.cell_bits + t * cfg.dac_bits));
-        }
-      }
-    }
-    pair_acc[pi] = acc;
+    case ExecPath::kDense:
+      return;  // mvm() routes dense sims to mvm_dense
   }
 }
 
@@ -810,14 +567,12 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_packed(
   const auto& cfg = layer_.config;
   const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
   const std::size_t n = x.size();
-  const bool aos = config_.plan_kernel == PlanKernel::kAos;
-  const bool needs_chunks = aos || (exec_path_ == ExecPath::kVector ||
-                                    exec_path_ == ExecPath::kGeneral);
+  const bool needs_chunks = exec_path_ != ExecPath::kFused;
 
   // DAC chunks flattened into one contiguous buffer: chunk t of row r sits
   // at [t*n + r], so plan entries index a cycle's chunks directly by their
-  // packed row index. The fused and bitslice paths read the codes
-  // directly and skip the split (validation still runs).
+  // packed row index. The fused path reads the codes directly and skips
+  // the split (validation still runs).
   std::vector<std::int32_t> chunks;
   if (needs_chunks) chunks.resize(static_cast<std::size_t>(cycles) * n);
   dac_split(x.data(), needs_chunks ? chunks.data() : nullptr);
@@ -832,11 +587,7 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_packed(
   AdcCounters call_counters;
   const auto run_range = [&](std::int64_t p0, std::int64_t p1,
                              AdcCounters& counters) {
-    if (aos)
-      exec_pairs_aos(chunks.data(), p0, p1, pair_acc.data(), counters);
-    else
-      exec_pairs_soa(x.data(), chunks.data(), p0, p1, pair_acc.data(),
-                     counters);
+    exec_pairs(x.data(), chunks.data(), p0, p1, pair_acc.data(), counters);
   };
   if (plan_work_ < kMinParallelPlanWork) {
     // Tiny plan: the sweep costs less than waking the pool. Run it inline
@@ -989,7 +740,7 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
   std::vector<std::int64_t> y(static_cast<std::size_t>(batch) * cols, 0);
   if (batch == 0) return y;
 
-  if (fused_batches()) {
+  if (exec_path_ == ExecPath::kFused) {
     // Samples become lanes: each tile gathers its samples' codes
     // lane-major and scatters the sums back. Validation first, in one
     // min/max reduction; the scan naming the offending code only runs on
@@ -1125,7 +876,7 @@ void AnalogLayerSim::mvm_real_lanes(const float* x, std::int64_t lanes,
   const auto n = static_cast<std::size_t>(layer_.rows);
   const auto cols = static_cast<std::size_t>(layer_.cols);
   const auto nl = static_cast<std::size_t>(lanes);
-  if (!fused_batches()) {
+  if (exec_path_ != ExecPath::kFused) {
     // Per-sample execution behind one transpose each way.
     std::vector<float> xs(n * nl);
     for (std::size_t r = 0; r < n; ++r)
@@ -1204,12 +955,7 @@ void AnalogLayerSim::prefetch_plan() const {
     TINYADC_PREFETCH(soa_row_.data() + i);
     TINYADC_PREFETCH(soa_mag_.data() + i);
   }
-  if (exec_path_ == ExecPath::kBitslice) {
-    const std::size_t words = std::min(kHeadSlots, bs_words_.size());
-    for (std::size_t w = 0; w < words; w += 8)
-      TINYADC_PREFETCH(bs_words_.data() + w);
-  } else if (exec_path_ == ExecPath::kVector ||
-             exec_path_ == ExecPath::kGeneral) {
+  if (exec_path_ == ExecPath::kVector || exec_path_ == ExecPath::kGeneral) {
     const std::size_t lv = std::min(kHeadSlots, soa_level_.size());
     for (std::size_t i = 0; i < lv; i += 16)
       TINYADC_PREFETCH(soa_level_.data() + i);
@@ -1233,8 +979,8 @@ AnalogLayerSim::AnalogLayerSim(const xbar::MappedLayer& layer,
       plan_ideal_(restored.plan_ideal),
       stats_mu_(std::make_unique<std::mutex>()) {
   check_accumulator_headroom();
-  // Path resolution and the derived views (AoS arrays, bit planes) are
-  // recomputed from the loaded streams — never a plan compilation.
+  // Path resolution is recomputed from the loaded streams — never a plan
+  // compilation.
   if (config_.use_plan) finalize_plan();
 }
 
@@ -1245,10 +991,9 @@ void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
   for (const auto& v : variation_) w.vec(v);
   w.pod(static_cast<std::uint8_t>(config_.use_plan ? 1 : 0));
   if (!config_.use_plan) return;
-  // v3 payload: the canonical SoA streams as 64-byte-aligned arrays
-  // (vec_aligned), so a mapped load can hand the executors read-only spans
-  // over the file instead of copies. The AoS arrays and bit planes are
-  // derived views and are rebuilt (cheap, deterministic) at load.
+  // The canonical SoA streams as 64-byte-aligned arrays (vec_aligned), so
+  // a mapped load can hand the executors read-only spans over the file
+  // instead of copies.
   w.pod(static_cast<std::uint64_t>(soa_out_.size()));
   w.vec_aligned(soa_out_);
   w.vec_aligned(soa_seg_);
@@ -1261,7 +1006,7 @@ void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
 
 std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
     const xbar::MappedLayer& layer, MsimConfig config,
-    artifact::SectionReader& r, std::uint32_t version) {
+    artifact::SectionReader& r) {
   const auto& cfg = layer.config;
   const int slices = cfg.slices();
   RestoredState s;
@@ -1319,171 +1064,22 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
                   "layer " << layer.name << ": plan has " << npairs
                            << " conversion pairs, mapping needs "
                            << npairs_expected);
-    if (version >= 3) {
-      // --- v3: 64-byte-aligned SoA streams. On a mapped artifact these
-      // come back as borrowed spans over the file (zero-copy); on a copied
-      // load arr_aligned degrades to an owned copy. Either way the shared
-      // validation below re-checks every structural invariant — and, on a
-      // mapped load, doubles as the page-touch warm-up of the hot streams.
-      s.out = r.arr_aligned<std::int64_t>("plan outs");
-      s.seg = r.arr_aligned<std::uint64_t>("plan segment table");
-      s.row = r.arr_aligned<std::int32_t>("plan row stream");
-      s.mag = r.arr_aligned<std::int32_t>("plan magnitude stream");
-      s.level = r.arr_aligned<std::int32_t>("plan level stream");
-      s.var = r.arr_aligned<float>("plan variation stream");
-      s.denom = r.arr_aligned<double>("plan IR-divisor stream");
-    } else if (version == 2) {
-      // --- v2: the SoA streams as plain (unaligned) arrays; always copied.
-      std::vector<std::int64_t> out;
-      out.reserve(static_cast<std::size_t>(npairs));
-      for (std::uint64_t pi = 0; pi < npairs; ++pi)
-        out.push_back(r.pod<std::int64_t>());
-      s.out = std::move(out);
-      const auto nseg = r.pod<std::uint64_t>();
-      TINYADC_CHECK(nseg == 2 * npairs + 1,
-                    "layer " << layer.name << ": plan segment table holds "
-                             << nseg << " offsets, expected "
-                             << 2 * npairs + 1);
-      std::vector<std::uint64_t> seg;
-      seg.reserve(static_cast<std::size_t>(nseg));
-      for (std::uint64_t i = 0; i < nseg; ++i)
-        seg.push_back(r.pod<std::uint64_t>());
-      s.seg = std::move(seg);
-      s.row = r.vec<std::int32_t>();
-      s.mag = r.vec<std::int32_t>();
-      s.level = r.vec<std::int32_t>();
-      s.var = r.vec<float>();
-      s.denom = r.vec<double>();
-    } else {
-      // --- v1: the PR-3 AoS entry arrays; validate exactly as the v1
-      // reader did, then merge each (pair, polarity)'s slice planes into
-      // one SoA segment. Rows within a plane ascend, so the union of a
-      // polarity's planes (every |q| ≥ 1 weight appears in ≥ 1 plane)
-      // sorts back into the dense scan order. -----------------------------
-      const std::size_t planes_per_pair =
-          2 * static_cast<std::size_t>(slices);
-      std::vector<PairRef> pairs;
-      pairs.reserve(static_cast<std::size_t>(npairs));
-      for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        PairRef pair;
-        pair.out = r.pod<std::int64_t>();
-        pair.plane0 = static_cast<std::size_t>(r.pod<std::uint64_t>());
-        TINYADC_CHECK(pair.out >= 0 && pair.out < layer.cols,
-                      "layer " << layer.name << ": plan pair " << pi
-                               << " targets output column " << pair.out);
-        TINYADC_CHECK(pair.plane0 == static_cast<std::size_t>(pi) *
-                                         planes_per_pair,
-                      "layer " << layer.name << ": plan pair " << pi
-                               << " has corrupt plane offset");
-        pairs.push_back(pair);
-      }
-      const auto noffsets = r.pod<std::uint64_t>();
-      TINYADC_CHECK(noffsets == npairs * planes_per_pair + 1,
-                    "layer " << layer.name << ": plan offset table holds "
-                             << noffsets << " entries, expected "
-                             << npairs * planes_per_pair + 1);
-      std::vector<std::size_t> offsets;
-      offsets.reserve(static_cast<std::size_t>(noffsets));
-      for (std::uint64_t i = 0; i < noffsets; ++i) {
-        const auto off = r.pod<std::uint64_t>();
-        TINYADC_CHECK((i == 0 && off == 0) ||
-                          (i > 0 && off >= offsets.back()),
-                      "layer " << layer.name
-                               << ": plan offsets are not monotone");
-        offsets.push_back(static_cast<std::size_t>(off));
-      }
-      const auto x = r.vec<std::int32_t>();
-      const auto level = r.vec<std::int32_t>();
-      const auto var = r.vec<float>();
-      const auto denom = r.vec<double>();
-      const std::size_t entries = offsets.back();
-      TINYADC_CHECK(x.size() == entries && level.size() == entries &&
-                        var.size() == entries && denom.size() == entries,
-                    "layer " << layer.name
-                             << ": plan entry arrays disagree with the "
-                                "offset table (" << entries << " entries)");
-      const std::int32_t max_level = (1 << cfg.cell_bits) - 1;
-      for (std::size_t e = 0; e < entries; ++e) {
-        TINYADC_CHECK(x[e] >= 0 &&
-                          static_cast<std::int64_t>(x[e]) < layer.rows,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " reads activation row " << x[e]);
-        TINYADC_CHECK(level[e] > 0 && level[e] <= max_level,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " holds cell level " << level[e]);
-        TINYADC_CHECK(std::isfinite(var[e]) && var[e] > 0.0F &&
-                          std::isfinite(denom[e]) && denom[e] > 0.0,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " holds non-finite analog factors");
-      }
+    // 64-byte-aligned SoA streams. On a mapped artifact these come back as
+    // borrowed spans over the file (zero-copy); on a copied load
+    // arr_aligned degrades to an owned copy. Either way the validation
+    // below re-checks every structural invariant — and, on a mapped load,
+    // doubles as the page-touch warm-up of the hot streams.
+    s.out = r.arr_aligned<std::int64_t>("plan outs");
+    s.seg = r.arr_aligned<std::uint64_t>("plan segment table");
+    s.row = r.arr_aligned<std::int32_t>("plan row stream");
+    s.mag = r.arr_aligned<std::int32_t>("plan magnitude stream");
+    s.level = r.arr_aligned<std::int32_t>("plan level stream");
+    s.var = r.arr_aligned<float>("plan variation stream");
+    s.denom = r.arr_aligned<double>("plan IR-divisor stream");
 
-      // AoS → SoA conversion (into owned vectors; the ArrayRef members
-      // adopt them below).
-      std::vector<std::int64_t> c_out;
-      std::vector<std::uint64_t> c_seg;
-      std::vector<std::int32_t> c_row, c_mag, c_level;
-      std::vector<float> c_var;
-      std::vector<double> c_denom;
-      c_seg.push_back(0);
-      std::vector<std::int32_t> seg_rows;
-      for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        c_out.push_back(pairs[static_cast<std::size_t>(pi)].out);
-        const std::size_t plane0 =
-            pairs[static_cast<std::size_t>(pi)].plane0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t sp0 =
-              plane0 + static_cast<std::size_t>(pol) *
-                           static_cast<std::size_t>(slices);
-          seg_rows.clear();
-          for (int sl = 0; sl < slices; ++sl)
-            for (std::size_t e = offsets[sp0 + static_cast<std::size_t>(sl)];
-                 e < offsets[sp0 + static_cast<std::size_t>(sl) + 1]; ++e)
-              seg_rows.push_back(x[e]);
-          std::sort(seg_rows.begin(), seg_rows.end());
-          seg_rows.erase(std::unique(seg_rows.begin(), seg_rows.end()),
-                         seg_rows.end());
-          const std::size_t len = seg_rows.size();
-          const std::size_t slot0 = c_row.size();
-          for (const std::int32_t row : seg_rows) {
-            c_row.push_back(row);
-            c_mag.push_back(0);
-            c_denom.push_back(1.0);
-          }
-          c_level.resize(c_level.size() +
-                             len * static_cast<std::size_t>(slices),
-                         0);
-          c_var.resize(c_var.size() + len * static_cast<std::size_t>(slices),
-                       1.0F);
-          const std::size_t lbase = slot0 * static_cast<std::size_t>(slices);
-          for (int sl = 0; sl < slices; ++sl) {
-            for (std::size_t e = offsets[sp0 + static_cast<std::size_t>(sl)];
-                 e < offsets[sp0 + static_cast<std::size_t>(sl) + 1]; ++e) {
-              const auto it = std::lower_bound(seg_rows.begin(),
-                                               seg_rows.end(), x[e]);
-              const auto li = static_cast<std::size_t>(
-                  it - seg_rows.begin());
-              c_level[lbase + static_cast<std::size_t>(sl) * len + li] =
-                  level[e];
-              c_var[lbase + static_cast<std::size_t>(sl) * len + li] = var[e];
-              c_mag[slot0 + li] += level[e] << (sl * cfg.cell_bits);
-              c_denom[slot0 + li] = denom[e];
-            }
-          }
-          c_seg.push_back(c_row.size());
-        }
-      }
-      s.out = std::move(c_out);
-      s.seg = std::move(c_seg);
-      s.row = std::move(c_row);
-      s.mag = std::move(c_mag);
-      s.level = std::move(c_level);
-      s.var = std::move(c_var);
-      s.denom = std::move(c_denom);
-    }
-
-    // --- Shared structural validation over the restored streams, for
-    // every payload version (v3 spans, v2 copies, v1 conversions alike).
-    // Anything inconsistent with the mapping is a CheckError, never UB.
+    // Structural validation over the restored streams, spans and copies
+    // alike. Anything inconsistent with the mapping is a CheckError, never
+    // UB.
     TINYADC_CHECK(s.out.size() == npairs,
                   "layer " << layer.name << ": plan out table holds "
                            << s.out.size() << " pairs, expected " << npairs);

@@ -24,9 +24,9 @@
 // as column-blocked SoA streams — one contiguous segment of active rows per
 // (block, column, polarity), with separate row-index / magnitude /
 // per-slice level / variation / IR-divisor arrays — so the inner loops are
-// flat array sweeps the compiler can vectorize, instead of the PR-3
-// pointer-chasing array-of-structs gather. Four execution paths share the
-// streams (see DESIGN.md §12):
+// flat array sweeps the compiler can vectorize. The execution path is a
+// pure function of the layer and the configuration, one per datapath
+// regime (see DESIGN.md §12):
 //
 //   fused     ideal datapath whose ADC provably never clips: the
 //             shift-and-add over (slice, cycle) telescopes exactly into
@@ -34,18 +34,15 @@
 //             Batches run lane-major: many input vectors (e.g. every
 //             patch column of a conv batch) share one plan walk, each
 //             row slot scaling a contiguous tile of lanes.
-//   bitslice  ideal 1-bit-DAC datapath that may clip: cell levels are
-//             decomposed into bit planes packed 64 cells/word, a cycle's
-//             chunk bits pack the same way, and each plane sum becomes
-//             popcount(level_plane & chunk_word) · 2^bit.
-//   vector    ideal fallback (multi-bit DAC that may clip): per-cycle
-//             chunk gather + per-slice int64 multiply-accumulate over the
-//             rectangular level stream.
+//   vector    ideal datapath that may clip (an ADC below Eq. 1): per-cycle
+//             chunk gather + per-slice integer multiply-accumulate over
+//             the rectangular level stream, saturating each conversion.
 //   general   non-ideal (variation / IR drop): ordered sweep skipping
 //             zero levels, bit-identical to the dense float accumulation.
 //
-// All paths are bit-identical — outputs AND ADC counters — to the dense
-// reference and to the retained AoS executor, at every thread count.
+// plus the dense row scan (MsimConfig::use_plan = false), the reference
+// oracle. All paths are bit-identical — outputs AND ADC counters — to that
+// oracle, at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +62,13 @@ class SectionReader;
 
 namespace tinyadc::msim {
 
-/// Which executor walks the packed plan (MsimConfig::plan_kernel).
-enum class PlanKernel : std::uint8_t {
-  kAuto = 0,      ///< best eligible path: fused > bitslice > vector/general
-  kAos = 1,       ///< retained PR-3 array-of-structs entry walk
-  kSoa = 2,       ///< SoA streams without fusing (vector/general paths)
-  kBitslice = 3,  ///< packed bit-plane popcount path when eligible
+/// Which inner loop executes a layer's MVMs (AnalogLayerSim::exec_path()).
+/// Resolved once per layer from the datapath's properties, never chosen.
+enum class ExecPath : std::uint8_t {
+  kFused = 0,    ///< ideal datapath whose ADC provably never clips
+  kVector = 1,   ///< ideal datapath that may clip
+  kGeneral = 2,  ///< non-ideal datapath (variation / IR drop)
+  kDense = 3,    ///< MsimConfig::use_plan == false: the dense oracle
 };
 
 /// Simulation knobs.
@@ -92,19 +90,11 @@ struct MsimConfig {
   /// packed plan is verified against bit-for-bit (outputs *and* ADC
   /// counters) by tests/msim_plan_test.cpp.
   bool use_plan = true;
-  /// Plan executor selection. Every kernel produces bit-identical outputs
-  /// and counters; non-default values exist for benchmarking and for the
-  /// equivalence tests. Kernels degrade gracefully: kBitslice falls back to
-  /// the vector/general paths when the datapath is non-ideal or the DAC is
-  /// multi-bit.
-  PlanKernel plan_kernel = PlanKernel::kAuto;
 };
 
-/// Artifact (de)serialization of the simulation knobs. `version` is the
-/// PLANS-section payload version: v1 predates plan_kernel (defaults kAuto).
+/// Artifact (de)serialization of the simulation knobs (PLANS section).
 void serialize(const MsimConfig& config, artifact::SectionWriter& w);
-MsimConfig deserialize_msim_config(artifact::SectionReader& r,
-                                   std::uint32_t version);
+MsimConfig deserialize_msim_config(artifact::SectionReader& r);
 
 /// Aggregate statistics from a simulation run.
 struct MsimStats {
@@ -135,12 +125,9 @@ class AnalogLayerSim {
   /// invokes the plan compiler (build_plan) or redraws variation: the
   /// restored sim executes exactly the serialized operands, and every
   /// structural invariant of the plan is re-validated against `layer`.
-  /// `version` selects the PLANS payload layout: v1 payloads carry the
-  /// PR-3 AoS entry arrays and are converted to the SoA streams in place;
-  /// v2 payloads carry the SoA streams directly.
   static std::unique_ptr<AnalogLayerSim> deserialize(
       const xbar::MappedLayer& layer, MsimConfig config,
-      artifact::SectionReader& r, std::uint32_t version);
+      artifact::SectionReader& r);
 
   /// Process-wide count of plan compilations (build_plan runs). Lets tests
   /// and benches prove that artifact loading touches no compilation path.
@@ -198,6 +185,8 @@ class AnalogLayerSim {
 
   /// The ADC resolution in use.
   int adc_bits() const { return adc_.bits(); }
+  /// The inner loop this layer's MVMs run through.
+  ExecPath exec_path() const { return exec_path_; }
   /// Statistics accumulated over all mvm() calls. Unsynchronized view —
   /// only read while no mvm() is in flight.
   const MsimStats& stats() const { return stats_; }
@@ -213,24 +202,12 @@ class AnalogLayerSim {
   void reset_stats();
 
  private:
-  // One (block, logical column) conversion unit of the retained AoS plan.
-  struct PairRef {
-    std::int64_t out = 0;   ///< original output column index (y slot)
-    std::size_t plane0 = 0; ///< first plane slot: planes are
-                            ///< [pair][polarity][slice], contiguous
-  };
-
-  // Which inner loop executes the plan (resolved once per layer from the
-  // configured kernel and the datapath's properties).
-  enum class ExecPath : std::uint8_t { kFused, kBitslice, kVector, kGeneral };
-
   // Execution state restored from an artifact (see deserialize()): the
-  // canonical SoA streams, exactly as finalize_plan() documents them. The
-  // stream arrays are ArrayRefs: a v3 payload read from a mapped artifact
+  // canonical SoA streams documented at the soa_* members below. The
+  // stream arrays are ArrayRefs: a payload read from a mapped artifact
   // restores them as borrowed spans over the mapping (zero-copy — the
   // SectionReader's keeper holds the MappedFile alive), while copied loads
-  // and pre-v3 payloads restore owned vectors. Either way the executors see
-  // the same bytes.
+  // restore owned vectors. Either way the executors see the same bytes.
   struct RestoredState {
     int adc_bits = 0;
     bool plan_ideal = false;
@@ -249,23 +226,17 @@ class AnalogLayerSim {
   void check_accumulator_headroom() const;
 
   void build_plan();
-  // Resolves the execution path, derives the retained AoS arrays (kAos) and
-  // the packed bit planes (bitslice) from the SoA streams, and computes the
-  // fused-path clipping predicate. Shared by build_plan and deserialize so
-  // a loaded plan provably dispatches through the same inner loops.
+  // Computes the worst-case sums from the SoA streams and resolves the
+  // execution path from them. Shared by build_plan and deserialize so a
+  // loaded plan provably dispatches through the same inner loops.
   void finalize_plan();
-  void derive_aos_from_soa();
-  void build_bit_planes();
 
   // Per-sample executors: read layer_rows codes at `x`, add column sums
   // into the caller's per-pair slots. All executors convert pairs
   // [p0, p1) and accumulate that range's ADC counters.
-  void exec_pairs_soa(const std::int32_t* x, const std::int32_t* chunks,
-                      std::int64_t p0, std::int64_t p1,
-                      std::int64_t* pair_acc, AdcCounters& counters) const;
-  void exec_pairs_aos(const std::int32_t* chunks, std::int64_t p0,
-                      std::int64_t p1, std::int64_t* pair_acc,
-                      AdcCounters& counters) const;
+  void exec_pairs(const std::int32_t* x, const std::int32_t* chunks,
+                  std::int64_t p0, std::int64_t p1, std::int64_t* pair_acc,
+                  AdcCounters& counters) const;
 
   // The fused plan loop (DESIGN.md §12). For lanes [l0, l0 + lanes) of a
   // lane-major code matrix (row r of lane l at codes[r·ld + l]; at most
@@ -293,11 +264,6 @@ class AnalogLayerSim {
   template <typename Load, typename Store>
   void fused_tiles(std::int64_t lanes, int phases, const Load& load,
                    const Store& store);
-  // True when batches take the lane-major fused kernel.
-  bool fused_batches() const {
-    return config_.use_plan && exec_path_ == ExecPath::kFused;
-  }
-
   std::vector<std::int64_t> mvm_packed(const std::vector<std::int32_t>& x);
   std::vector<std::int64_t> mvm_dense(const std::vector<std::int32_t>& x);
   // Validates one sample's codes and splits them into the flat per-cycle
@@ -324,7 +290,7 @@ class AnalogLayerSim {
   // rectangle is bit-safe for the integer paths (zero levels add nothing)
   // and lets every slice of a segment stream contiguously.
   // The streams are ArrayRefs (artifact/array_ref.hpp): plan compilation
-  // produces owned vectors, while a mapped v3 artifact load restores them
+  // produces owned vectors, while a mapped artifact load restores them
   // as read-only spans over the file mapping (zero-copy; the ArrayRef's
   // keeper pins the MappedFile). Executors only read, so both storage
   // modes run the same inner loops on the same bytes.
@@ -336,21 +302,6 @@ class AnalogLayerSim {
   artifact::ArrayRef<float> soa_var_;          // slot×slice → variation
   artifact::ArrayRef<double> soa_denom_;       // slot → IR-drop divisor
 
-  // --- Bit-sliced levels (built for the bitslice path) --------------------
-  // Each segment's levels decompose into slices·cell_bits bit planes packed
-  // 64 cells per word: word (plane p, word w) of segment k sits at
-  // bs_words_[bs_base_[k] + p·W_k + w], W_k = ⌈len_k / 64⌉ words.
-  std::vector<std::uint64_t> bs_words_;
-  std::vector<std::size_t> bs_base_;    // 2·pairs + 1 word-range offsets
-
-  // --- Retained AoS plan (PR-3 layout; derived when plan_kernel == kAos) --
-  std::vector<PairRef> plan_pairs_;
-  std::vector<std::size_t> plan_offsets_;  // planes*pairs + 1 offsets
-  std::vector<std::int32_t> plan_x_;       // entry → flat DAC-chunk index
-  std::vector<std::int32_t> plan_level_;   // entry → cell level (this slice)
-  std::vector<float> plan_var_;            // entry → variation factor
-  std::vector<double> plan_denom_;         // entry → IR-drop divisor
-
   bool plan_ideal_ = false;  // no variation and no IR drop: integer datapath
   // Fused-path predicate: the worst-case plane sum (all chunks at full
   // scale) over every (pair, polarity, slice) plane. When it fits the
@@ -360,7 +311,7 @@ class AnalogLayerSim {
   // Largest worst-case fused per-polarity partial Σ |q|·x — when it fits
   // int32 the fused dot accumulates in 32-bit lanes (twice the SIMD width).
   std::int64_t worst_fused_sum_ = 0;
-  ExecPath exec_path_ = ExecPath::kVector;
+  ExecPath exec_path_ = ExecPath::kDense;
   // Approximate per-MVM inner-loop work (weighted row slots; see
   // finalize_plan). Plans below the parallel threshold execute their pair
   // sweep inline — the pool's dispatch overhead dominates tiny plans, and

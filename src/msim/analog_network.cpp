@@ -14,13 +14,10 @@ namespace tinyadc::msim {
 
 namespace {
 
-// v1 plan payloads carry the PR-3 AoS entry arrays; v2 carries the SoA
-// streams (plus MsimConfig::plan_kernel); v3 carries the same streams as
+// PLANS v4: the simulation knobs, then per layer the SoA plan streams as
 // 64-byte-aligned arrays so a mapped load can execute them in place
-// (zero-copy). Readers accept all three — v1 converts, v2 copies — and
-// writers always emit v3.
-constexpr std::uint32_t kPlansSectionVersion = 3;
-constexpr std::uint32_t kMinPlansSectionVersion = 1;
+// (zero-copy). The one version this build reads and writes.
+constexpr std::uint32_t kPlansSectionVersion = 4;
 constexpr std::uint32_t kCalibSectionVersion = 1;
 
 std::atomic<std::int64_t> g_calibration_runs{0};
@@ -90,11 +87,8 @@ AnalogNetwork::AnalogNetwork(nn::Model& model, const xbar::MappedNetwork& net,
                                       << views.size());
 
   // --- Compiled plans section: shared config + one sim per layer. ---------
-  const auto plans_version = plans.pod<std::uint32_t>();
-  TINYADC_CHECK(plans_version >= kMinPlansSectionVersion &&
-                    plans_version <= kPlansSectionVersion,
-                "unsupported plans-section version " << plans_version);
-  config_ = deserialize_msim_config(plans, plans_version);
+  artifact::read_payload_version(plans, kPlansSectionVersion);
+  config_ = deserialize_msim_config(plans);
   const auto nsims = plans.pod<std::uint64_t>();
   TINYADC_CHECK(nsims == views.size(),
                 "artifact holds " << nsims << " compiled layers, model has "
@@ -109,16 +103,14 @@ AnalogNetwork::AnalogNetwork(nn::Model& model, const xbar::MappedNetwork& net,
                   "layer shape mismatch on " << views[i].layer_name);
     MsimConfig layer_cfg = config_;
     layer_cfg.seed = config_.seed + i * 131;  // mirrors the compile-time draw
-    sims_.push_back(AnalogLayerSim::deserialize(net_.layers[i], layer_cfg,
-                                                plans, plans_version));
+    sims_.push_back(
+        AnalogLayerSim::deserialize(net_.layers[i], layer_cfg, plans));
   }
   TINYADC_CHECK(plans.remaining() == 0,
                 "trailing bytes after the compiled plans");
 
   // --- Calibration section: quantizer ranges + signed-input flags. --------
-  const auto calib_version = calib.pod<std::uint32_t>();
-  TINYADC_CHECK(calib_version == kCalibSectionVersion,
-                "unsupported calibration-section version " << calib_version);
+  artifact::read_payload_version(calib, kCalibSectionVersion);
   const auto nlayers = calib.pod<std::uint64_t>();
   TINYADC_CHECK(nlayers == views.size(),
                 "artifact calibrates " << nlayers << " layers, model has "

@@ -172,9 +172,7 @@ void Model::serialize(artifact::SectionWriter& w) {
 }
 
 void Model::deserialize_state(artifact::SectionReader& r) {
-  const auto version = r.pod<std::uint32_t>();
-  TINYADC_CHECK(version == kModelSectionVersion,
-                "unsupported model section version " << version);
+  artifact::read_payload_version(r, kModelSectionVersion);
   const std::string name = r.str();
   TINYADC_CHECK(name == name_, "artifact model is '" << name
                                                      << "', expected '"

@@ -9,10 +9,9 @@ namespace tinyadc::xbar {
 
 namespace {
 
-// v1: block codes as plain vec(); v2 (this writer): block codes as
-// vec_aligned() so a mapped load views them in place. Both load.
+// MAPPING v2: block codes as vec_aligned() arrays so a mapped load views
+// them in place. The one version this build reads and writes.
 constexpr std::uint32_t kMappingSectionVersion = 2;
-constexpr std::uint32_t kMinMappingSectionVersion = 1;
 
 void serialize_config(const MappingConfig& cfg, artifact::SectionWriter& w) {
   w.pod(cfg.dims.rows);
@@ -78,8 +77,7 @@ void serialize_layer(const MappedLayer& layer, artifact::SectionWriter& w) {
 }
 
 MappedLayer deserialize_layer(artifact::SectionReader& r,
-                              const MappingConfig& config,
-                              std::uint32_t version) {
+                              const MappingConfig& config) {
   MappedLayer layer;
   layer.config = config;
   layer.name = r.str();
@@ -135,9 +133,7 @@ MappedLayer deserialize_layer(artifact::SectionReader& r,
                                          compact_cols - b.col0),
                   "layer " << layer.name << ": block " << i
                            << " geometry disagrees with the grid");
-    b.q = version >= 2 ? r.arr_aligned<std::int32_t>("block codes")
-                       : artifact::ArrayRef<std::int32_t>(
-                             r.vec<std::int32_t>());
+    b.q = r.arr_aligned<std::int32_t>("block codes");
     TINYADC_CHECK(b.q.size() == static_cast<std::size_t>(b.rows * b.cols),
                   "layer " << layer.name << ": block " << i << " holds "
                            << b.q.size() << " codes, expected "
@@ -181,10 +177,7 @@ void serialize(const MappedNetwork& net, artifact::SectionWriter& w) {
 }
 
 MappedNetwork deserialize_mapped_network(artifact::SectionReader& r) {
-  const auto version = r.pod<std::uint32_t>();
-  TINYADC_CHECK(version >= kMinMappingSectionVersion &&
-                    version <= kMappingSectionVersion,
-                "unsupported mapping section version " << version);
+  artifact::read_payload_version(r, kMappingSectionVersion);
   MappedNetwork net;
   net.config = deserialize_config(r);
   const auto count = r.pod<std::uint64_t>();
@@ -192,7 +185,7 @@ MappedNetwork deserialize_mapped_network(artifact::SectionReader& r) {
                 "implausible mapped-layer count " << count);
   net.layers.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i)
-    net.layers.push_back(deserialize_layer(r, net.config, version));
+    net.layers.push_back(deserialize_layer(r, net.config));
   return net;
 }
 

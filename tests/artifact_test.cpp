@@ -2,12 +2,14 @@
 // outputs and ADC counters between the in-process pipeline and a loaded
 // artifact (packed-plan and dense datapaths, 1 and 4 workers), proof that
 // loading never recompiles plans or recalibrates, byte-identical re-save,
-// and a corruption matrix (truncations, bad magic/version, table abuse)
+// publication by rename, rejection of older payload versions, and a
+// corruption matrix (truncations, bad magic/version, table abuse)
 // that must fail with CheckError instead of bad_alloc or garbage.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -283,6 +285,23 @@ TEST(Artifact, ResaveIsByteIdentical) {
   std::remove(path1.c_str());
 }
 
+TEST(Artifact, FailedPublicationLeavesNoTemporaryFile) {
+  // The writer publishes by renaming `<path>.tmp.<pid>` over the target. A
+  // directory at the target makes that rename fail after the temporary
+  // file is written and synced: the save must throw CheckError, remove
+  // its temporary file, and leave the target as it was.
+  Fixture f;
+  const std::string dir = "artifact_publish_target_tmp";
+  std::filesystem::create_directory(dir);
+  EXPECT_THROW(save_artifact(dir, f.inputs()), CheckError);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  const std::string prefix = dir + ".tmp.";
+  for (const auto& entry : std::filesystem::directory_iterator("."))
+    EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0U)
+        << "leftover temporary file " << entry.path();
+  std::filesystem::remove(dir);
+}
+
 TEST(Artifact, CorruptionMatrixFailsWithCheckError) {
   Fixture f;
   const std::string path = "artifact_corrupt_src_tmp.tadc";
@@ -346,92 +365,81 @@ TEST(Artifact, CorruptionMatrixFailsWithCheckError) {
 }
 
 // ---------------------------------------------------------------------------
-// PLANS-section versioning: committed v1 (PR-6 AoS payload) golden artifacts
-// must keep loading under the v2 reader — executing bit-identically to a
-// freshly compiled pipeline — and upgrade cleanly (re-save writes v2, and
-// the upgraded file round-trips byte-identically).
+// Payload versions: a build reads exactly the PLANS and MAPPING versions it
+// writes. An artifact carrying any older payload must fail through both
+// load paths with a CheckError naming the version found, the version this
+// build reads, and the command that regenerates the file.
 
-void golden_v1_upgrade_case(const std::string& golden,
-                            const msim::MsimConfig& mcfg) {
-  ASSERT_FALSE(slurp(golden).empty()) << golden;
-  Fixture f(mcfg);
-
-  const auto plans_before = msim::AnalogLayerSim::plan_compilations();
-  const auto calib_before = msim::AnalogNetwork::calibration_runs();
-  Deployment dep = load_artifact(golden);
-  EXPECT_EQ(msim::AnalogLayerSim::plan_compilations(), plans_before)
-      << "loading a v1 payload must convert, not recompile";
-  EXPECT_EQ(msim::AnalogNetwork::calibration_runs(), calib_before);
-
-  const Tensor batch = f.batch(6);
-  const Tensor y1 = dep.analog->forward(batch);
-#ifndef TINYADC_NATIVE
-  // The converted v1 plan executes bit-identically — outputs and per-layer
-  // ADC/DAC counters — to the freshly compiled v2 pipeline. Only checkable
-  // on the portable reference build that wrote the goldens: under
-  // -march=native, FMA contraction shifts the fixture's *training* floats,
-  // so the freshly trained weights legitimately drift from the stored ones.
-  const Tensor y0 = f.analog->forward(batch);
-  ASSERT_EQ(y0.numel(), y1.numel());
-  EXPECT_EQ(std::memcmp(y0.data(), y1.data(),
-                        static_cast<std::size_t>(y0.numel()) * sizeof(float)),
-            0)
-      << golden;
-  ASSERT_EQ(f.analog->sims().size(), dep.analog->sims().size());
-  for (std::size_t i = 0; i < f.analog->sims().size(); ++i) {
-    const auto s0 = f.analog->sims()[i]->stats_snapshot();
-    const auto s1 = dep.analog->sims()[i]->stats_snapshot();
-    EXPECT_EQ(s0.adc_conversions, s1.adc_conversions) << "layer " << i;
-    EXPECT_EQ(s0.adc_clip_events, s1.adc_clip_events) << "layer " << i;
-    EXPECT_EQ(s0.dac_cycles, s1.dac_cycles) << "layer " << i;
+/// Rewrites the u32 payload version at the start of section `tag`.
+std::vector<char> with_payload_version(std::vector<char> bytes,
+                                       const char* tag,
+                                       std::uint32_t version) {
+  std::uint32_t nsections = 0;
+  std::memcpy(&nsections, bytes.data() + 12, sizeof(nsections));
+  char tag8[8] = {};
+  std::memcpy(tag8, tag, std::strlen(tag));
+  for (std::uint32_t i = 0; i < nsections; ++i) {
+    const char* entry = bytes.data() + 16 + static_cast<std::size_t>(i) * 24;
+    if (std::memcmp(entry, tag8, 8) != 0) continue;
+    std::uint64_t offset = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(bytes.data() + offset, &version, sizeof(version));
+    return bytes;
   }
-#endif
-
-  // Upgrade: re-save (always writes v2), reload, and prove the upgraded
-  // artifact is stable (byte-identical second save) and still executes
-  // bit-identically — outputs and counters — to the v1-converted plans.
-  // (These claims hold on any build: both deployments live in this
-  // process, so there is no cross-build float drift to absorb.)
-  const std::string up0 = "artifact_v1_upgrade0_tmp.tadc";
-  const std::string up1 = "artifact_v1_upgrade1_tmp.tadc";
-  save_artifact(up0, dep);
-  Deployment dep2 = load_artifact(up0);
-  save_artifact(up1, dep2);
-  EXPECT_TRUE(slurp(up0) == slurp(up1))
-      << "upgraded artifact must round-trip byte-identically";
-  const Tensor y2 = dep2.analog->forward(batch);
-  ASSERT_EQ(y1.numel(), y2.numel());
-  EXPECT_EQ(std::memcmp(y1.data(), y2.data(),
-                        static_cast<std::size_t>(y1.numel()) * sizeof(float)),
-            0);
-  ASSERT_EQ(dep.analog->sims().size(), dep2.analog->sims().size());
-  for (std::size_t i = 0; i < dep.analog->sims().size(); ++i) {
-    const auto s1 = dep.analog->sims()[i]->stats_snapshot();
-    const auto s2 = dep2.analog->sims()[i]->stats_snapshot();
-    EXPECT_EQ(s1.adc_conversions, s2.adc_conversions) << "layer " << i;
-    EXPECT_EQ(s1.adc_clip_events, s2.adc_clip_events) << "layer " << i;
-    EXPECT_EQ(s1.dac_cycles, s2.dac_cycles) << "layer " << i;
-  }
-  std::remove(up0.c_str());
-  std::remove(up1.c_str());
+  ADD_FAILURE() << "no " << tag << " section";
+  return bytes;
 }
 
-TEST(ArtifactVersioning, GoldenV1IdealLoadsExecutesAndUpgrades) {
-  golden_v1_upgrade_case(
-      std::string(TINYADC_TEST_DATA_DIR) + "/golden_plans_v1_ideal.tadc", {});
-}
-
-TEST(ArtifactVersioning, GoldenV1NonIdealLoadsExecutesAndUpgrades) {
-  msim::MsimConfig mcfg;
-  mcfg.variation_sigma = 0.1;
-  mcfg.ir_drop_alpha = 0.3;
-  golden_v1_upgrade_case(
-      std::string(TINYADC_TEST_DATA_DIR) + "/golden_plans_v1_nonideal.tadc",
-      mcfg);
+TEST(ArtifactVersioning, OlderPayloadVersionsFailWithRegenerateHint) {
+  Fixture f;
+  const std::string path = "artifact_old_version_src_tmp.tadc";
+  const std::string bad = "artifact_old_version_tmp.tadc";
+  save_artifact(path, f.inputs());
+  const auto bytes = slurp(path);
+  struct Case {
+    const char* tag;
+    std::uint32_t old_version;
+    std::uint32_t current;
+  };
+  const Case cases[] = {
+      {"PLANS", 1, 4}, {"PLANS", 2, 4}, {"PLANS", 3, 4}, {"MAPPING", 1, 2}};
+  for (const Case& c : cases) {
+    spit(bad, with_payload_version(bytes, c.tag, c.old_version));
+    const std::string what = std::string(c.tag) + " v" +
+                             std::to_string(c.old_version);
+    for (const bool mapped : {false, true}) {
+      try {
+        if (mapped)
+          (void)load_artifact_mapped(bad);
+        else
+          (void)load_artifact(bad);
+        ADD_FAILURE() << what << " loaded (mapped=" << mapped << ")";
+      } catch (const CheckError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(std::string("'") + c.tag + "'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("payload v" + std::to_string(c.old_version)),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("reads only v" + std::to_string(c.current)),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("tinyadc map|prune|train"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("--save-artifact"), std::string::npos) << msg;
+      }
+    }
+  }
+  // The untouched file still loads through both paths.
+  EXPECT_NO_THROW((void)load_artifact(path));
+  EXPECT_NO_THROW((void)load_artifact_mapped(path));
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Corruption matrix over the v3 aligned SoA plan streams: tamper one field
+// Corruption matrix over the aligned SoA plan streams (the per-layer
+// payload v3 introduced and PLANS v4 keeps unchanged): tamper one field
 // at a time in a single layer's serialized payload and require CheckError
 // from the stream validators (never garbage execution or bad_alloc). Also
 // covers the alignment-specific failure modes: non-zero padding bytes and
@@ -440,13 +448,13 @@ TEST(ArtifactVersioning, GoldenV1NonIdealLoadsExecutesAndUpgrades) {
 TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
   Fixture f;
   const auto& layer = f.net.layers.front();
-  msim::MsimConfig mcfg;  // defaults: use_plan, kAuto, ideal datapath
+  msim::MsimConfig mcfg;  // defaults: use_plan, ideal datapath
   msim::AnalogLayerSim sim(layer, mcfg);
   SectionWriter w;
   sim.serialize(w);
   const std::vector<char> base = w.bytes();
 
-  // v3 layer payload (ideal fixture: no variation blocks): i32 adc_bits,
+  // Layer payload (ideal fixture: no variation blocks): i32 adc_bits,
   // u8 plan_ideal, u64 nvar, u8 use_plan, u64 npairs, then seven aligned
   // arrays — u64 count, zero pad to the next 64-byte boundary, raw data —
   // out i64, seg u64, row/mag i32, level i32, var f32, denom f64. A
@@ -486,10 +494,8 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
 
   auto expect_throws = [&](const std::vector<char>& bytes, const char* what) {
     SectionReader r(bytes.data(), bytes.size(), "PLANS");
-    EXPECT_THROW(
-        (void)msim::AnalogLayerSim::deserialize(layer, mcfg, r,
-                                                /*version=*/3),
-        CheckError)
+    EXPECT_THROW((void)msim::AnalogLayerSim::deserialize(layer, mcfg, r),
+                 CheckError)
         << what;
   };
   auto tampered = [&](std::size_t off, const auto& v) {
@@ -501,7 +507,7 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
   // Sanity: the untampered payload deserializes and executes.
   {
     SectionReader r(base.data(), base.size(), "PLANS");
-    auto restored = msim::AnalogLayerSim::deserialize(layer, mcfg, r, 3);
+    auto restored = msim::AnalogLayerSim::deserialize(layer, mcfg, r);
     EXPECT_EQ(r.remaining(), 0U);
     std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 3);
     EXPECT_EQ(restored->mvm(x), sim.mvm(x));
@@ -538,7 +544,7 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
                                         static_cast<std::ptrdiff_t>(cut)),
                   "truncated stream");
 
-  // A non-zero byte inside the out array's alignment padding — the v3
+  // A non-zero byte inside the out array's alignment padding — the
   // reader verifies every pad byte, so silent payload shifts cannot hide.
   ASSERT_GT(off_out, off_npairs + 16) << "out array must have a pad region";
   expect_throws(tampered(off_out - 1, std::uint8_t{1}),
@@ -558,9 +564,8 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
     const auto keeper = std::make_shared<int>(0);
     SectionReader r(arena.data() + skew, base.size(), "PLANS",
                     /*abs_offset=*/0, keeper);
-    EXPECT_THROW(
-        (void)msim::AnalogLayerSim::deserialize(layer, mcfg, r, 3),
-        CheckError)
+    EXPECT_THROW((void)msim::AnalogLayerSim::deserialize(layer, mcfg, r),
+                 CheckError)
         << "misaligned mapped payload must be rejected";
   }
 }
@@ -708,86 +713,6 @@ TEST(Artifact, MappedLoadRejectsMisalignedSectionOffset) {
   EXPECT_THROW((void)load_artifact(bad), CheckError);
   std::remove(path.c_str());
   std::remove(bad.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// v2 (PR-8 unaligned SoA) golden artifacts: the copy-fallback path must
-// keep loading them — through both load_artifact and load_artifact_mapped,
-// bit-identically to each other — and re-saving upgrades them to a
-// byte-stable v3 file. (Written before the v3 alignment change; the
-// fixture recipe matches struct Fixture above.)
-
-Tensor golden_batch(std::int64_t n) {
-  data::SyntheticSpec spec;
-  spec.num_classes = 4;
-  spec.image_size = 8;
-  spec.train_per_class = 8;
-  spec.test_per_class = 6;
-  spec.seed = 17;
-  const data::DatasetPair data = data::make_synthetic(spec);
-  const Tensor& all = data.test.images;
-  Tensor b({n, all.dim(1), all.dim(2), all.dim(3)});
-  std::memcpy(b.data(), all.data(),
-              static_cast<std::size_t>(b.numel()) * sizeof(float));
-  return b;
-}
-
-void golden_v2_fallback_case(const std::string& golden) {
-  ASSERT_FALSE(slurp(golden).empty()) << golden;
-  const auto plans_before = msim::AnalogLayerSim::plan_compilations();
-  const auto calib_before = msim::AnalogNetwork::calibration_runs();
-  Deployment copied = load_artifact(golden);
-  Deployment mapped = load_artifact_mapped(golden, /*async_stream=*/true);
-  mapped.finish_streaming();
-  EXPECT_EQ(msim::AnalogLayerSim::plan_compilations(), plans_before)
-      << "loading a v2 payload must copy-convert, not recompile";
-  EXPECT_EQ(msim::AnalogNetwork::calibration_runs(), calib_before);
-
-  // v2 arrays are unaligned in the file, so even the mapped load falls
-  // back to owned copies — and the two paths stay bit-identical.
-  const Tensor batch = golden_batch(6);
-  const Tensor y0 = copied.analog->forward(batch);
-  const Tensor y1 = mapped.analog->forward(batch);
-  ASSERT_EQ(y0.numel(), y1.numel());
-  EXPECT_EQ(std::memcmp(y0.data(), y1.data(),
-                        static_cast<std::size_t>(y0.numel()) * sizeof(float)),
-            0)
-      << golden;
-  ASSERT_EQ(copied.analog->sims().size(), mapped.analog->sims().size());
-  for (std::size_t i = 0; i < copied.analog->sims().size(); ++i) {
-    const auto s0 = copied.analog->sims()[i]->stats_snapshot();
-    const auto s1 = mapped.analog->sims()[i]->stats_snapshot();
-    EXPECT_EQ(s0.adc_conversions, s1.adc_conversions) << "layer " << i;
-    EXPECT_EQ(s0.adc_clip_events, s1.adc_clip_events) << "layer " << i;
-    EXPECT_EQ(s0.dac_cycles, s1.dac_cycles) << "layer " << i;
-  }
-
-  // Upgrade: re-save (always writes v3 aligned), mapped-reload, re-save —
-  // byte-stable, and still executing bit-identically to the v2 copies.
-  const std::string up0 = "artifact_v2_upgrade0_tmp.tadc";
-  const std::string up1 = "artifact_v2_upgrade1_tmp.tadc";
-  save_artifact(up0, copied);
-  Deployment dep2 = load_artifact_mapped(up0);
-  save_artifact(up1, dep2);
-  EXPECT_TRUE(slurp(up0) == slurp(up1))
-      << "upgraded artifact must round-trip byte-identically";
-  const Tensor y2 = dep2.analog->forward(batch);
-  ASSERT_EQ(y1.numel(), y2.numel());
-  EXPECT_EQ(std::memcmp(y1.data(), y2.data(),
-                        static_cast<std::size_t>(y1.numel()) * sizeof(float)),
-            0);
-  std::remove(up0.c_str());
-  std::remove(up1.c_str());
-}
-
-TEST(ArtifactVersioning, GoldenV2IdealLoadsCopiedAndMapped) {
-  golden_v2_fallback_case(std::string(TINYADC_TEST_DATA_DIR) +
-                          "/golden_plans_v2_ideal.tadc");
-}
-
-TEST(ArtifactVersioning, GoldenV2NonIdealLoadsCopiedAndMapped) {
-  golden_v2_fallback_case(std::string(TINYADC_TEST_DATA_DIR) +
-                          "/golden_plans_v2_nonideal.tadc");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Sparsity-packed execution plans: the packed O(l)-per-column mvm path must
-// reproduce the legacy dense O(r) row scan bit for bit — outputs AND ADC
-// statistics — for every non-ideality combination, CP rate and thread
-// count. Plus the shift-and-add int64 overflow guard, and the batch-wide
-// lane-major conv path against batch-1 forwards and the dense oracle.
+// Sparsity-packed execution plans: every execution path (fused, vector,
+// general) must reproduce the dense O(r) row scan bit for bit — outputs AND
+// ADC statistics — for every datapath regime, CP rate and thread count, and
+// each regime must select its path. Plus the shift-and-add int64 overflow
+// guard, and the batch-wide lane-major conv path against batch-1 forwards
+// and the dense oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,81 +49,6 @@ std::vector<std::int32_t> random_codes(std::int64_t n, int bits,
   for (auto& v : x)
     v = static_cast<std::int32_t>(rng.uniform_int(1ULL << bits));
   return x;
-}
-
-/// Golden bit-exactness sweep: CP sparsity l ∈ {4, 16, 128} × thread count
-/// ∈ {1, 4}, each under four non-ideality settings (ideal, variation,
-/// IR drop, both).
-class PlanExactness
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, int>> {
- protected:
-  void TearDown() override { runtime::set_thread_count(0); }
-};
-
-TEST_P(PlanExactness, PackedMatchesDenseBitForBit) {
-  const auto [keep, threads] = GetParam();
-  runtime::set_thread_count(threads);
-  const Tensor m = cp_matrix(keep, static_cast<std::uint64_t>(keep));
-  xbar::MappingConfig map_cfg;  // paper config: 128×128, 8/8-bit, 1-bit DAC
-  const auto layer = xbar::map_matrix(m, "l", map_cfg);
-  ASSERT_LE(layer.max_active_rows(), keep);
-
-  MsimConfig variants[4];
-  variants[1].variation_sigma = 0.1;
-  variants[2].ir_drop_alpha = 0.3;
-  variants[3].variation_sigma = 0.1;
-  variants[3].ir_drop_alpha = 0.3;
-  for (MsimConfig cfg : variants) {
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
-    AnalogLayerSim packed(layer, cfg);
-    AnalogLayerSim dense(layer, dense_cfg);
-    for (std::uint64_t seed : {7ULL, 8ULL}) {
-      const auto x = random_codes(layer.rows, map_cfg.input_bits, seed);
-      EXPECT_EQ(packed.mvm(x), dense.mvm(x))
-          << "keep=" << keep << " threads=" << threads
-          << " sigma=" << cfg.variation_sigma
-          << " alpha=" << cfg.ir_drop_alpha;
-    }
-    EXPECT_EQ(packed.stats().adc_conversions, dense.stats().adc_conversions);
-    EXPECT_EQ(packed.stats().adc_clip_events, dense.stats().adc_clip_events);
-    EXPECT_EQ(packed.stats().dac_cycles, dense.stats().dac_cycles);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RatesAndThreads, PlanExactness,
-    ::testing::Combine(::testing::Values<std::int64_t>(4, 16, 128),
-                       ::testing::Values(1, 4)));
-
-TEST(PlanExactness, MultiBitDacMatchesDense) {
-  const Tensor m = cp_matrix(16, 99);
-  xbar::MappingConfig map_cfg;
-  map_cfg.dac_bits = 2;
-  const auto layer = xbar::map_matrix(m, "l", map_cfg);
-  MsimConfig dense_cfg;
-  dense_cfg.use_plan = false;
-  AnalogLayerSim packed(layer, {});
-  AnalogLayerSim dense(layer, dense_cfg);
-  const auto x = random_codes(layer.rows, map_cfg.input_bits, 11);
-  EXPECT_EQ(packed.mvm(x), dense.mvm(x));
-  EXPECT_EQ(packed.stats().adc_conversions, dense.stats().adc_conversions);
-}
-
-TEST(PlanExactness, UnderProvisionedAdcClipsIdentically) {
-  // Clipping paths must agree too: force saturation with a 2-bit ADC.
-  const Tensor m = cp_matrix(128, 42);
-  const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
-  MsimConfig cfg;
-  cfg.adc_bits_override = 2;
-  MsimConfig dense_cfg = cfg;
-  dense_cfg.use_plan = false;
-  AnalogLayerSim packed(layer, cfg);
-  AnalogLayerSim dense(layer, dense_cfg);
-  std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
-  EXPECT_EQ(packed.mvm(x), dense.mvm(x));
-  EXPECT_GT(packed.stats().adc_clip_events, 0);
-  EXPECT_EQ(packed.stats().adc_clip_events, dense.stats().adc_clip_events);
 }
 
 TEST(OverflowGuard, RejectsAccumulatorOverflow) {
@@ -207,54 +133,92 @@ TEST(BatchInvariance, EvaluateIndependentOfBatchSize) {
   }
 }
 
-/// Every plan kernel — retained AoS walk, un-fused SoA streams, bit-sliced
-/// popcount path, and the kAuto dispatcher — must reproduce the dense
-/// reference bit for bit (outputs AND ADC counters) for every CP rate,
-/// thread count and non-ideality combination. Kernels that are ineligible
-/// for a configuration (bitslice under variation, fused under clipping)
-/// must degrade to an eligible path, not diverge.
+/// One datapath regime of the equivalence matrix, and the execution path
+/// its configuration must select.
+struct Regime {
+  const char* name;
+  double variation_sigma;
+  double ir_drop_alpha;
+  int adc_below_eq1;  ///< ADC bits under Eq. 1 sizing (> 0: may clip)
+  ExecPath path;
+};
+
+const Regime kRegimes[] = {
+    {"ideal", 0.0, 0.0, 0, ExecPath::kFused},
+    {"under-provisioned", 0.0, 0.0, 2, ExecPath::kVector},
+    {"variation", 0.1, 0.0, 0, ExecPath::kGeneral},
+    {"ir-drop", 0.0, 0.3, 0, ExecPath::kGeneral},
+    {"variation+ir-drop", 0.1, 0.3, 0, ExecPath::kGeneral},
+};
+
+MsimConfig regime_config(const Regime& rg, const xbar::MappedLayer& layer) {
+  MsimConfig cfg;
+  cfg.variation_sigma = rg.variation_sigma;
+  cfg.ir_drop_alpha = rg.ir_drop_alpha;
+  if (rg.adc_below_eq1 > 0)
+    cfg.adc_bits_override = layer.required_adc_bits() - rg.adc_below_eq1;
+  return cfg;
+}
+
+/// Runs every input of `xs` through a plan sim and the dense oracle of the
+/// same configuration, and requires the expected path, identical outputs
+/// and all three counters. Returns the oracle's counters.
+MsimStats expect_matches_dense(const xbar::MappedLayer& layer,
+                          const MsimConfig& cfg, ExecPath path,
+                          const std::vector<std::vector<std::int32_t>>& xs,
+                          const std::string& what) {
+  MsimConfig dense_cfg = cfg;
+  dense_cfg.use_plan = false;
+  AnalogLayerSim sim(layer, cfg);
+  AnalogLayerSim dense(layer, dense_cfg);
+  EXPECT_EQ(sim.exec_path(), path) << what;
+  EXPECT_EQ(dense.exec_path(), ExecPath::kDense) << what;
+  for (const auto& x : xs) EXPECT_EQ(sim.mvm(x), dense.mvm(x)) << what;
+  EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions)
+      << what;
+  EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
+      << what;
+  EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles) << what;
+  return dense.stats();
+}
+
+/// Every execution path — fused (ideal, Eq. 1 ADC), vector (ideal, ADC
+/// below Eq. 1) and general (variation and/or IR drop) — must reproduce
+/// the dense reference bit for bit, outputs AND ADC counters, for every CP
+/// rate and thread count. The path is a pure function of the
+/// configuration, so each regime also pins which path ran.
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<std::int64_t, int>> {
  protected:
   void TearDown() override { runtime::set_thread_count(0); }
 };
 
-TEST_P(KernelEquivalence, AllKernelsMatchDenseBitForBit) {
+TEST_P(KernelEquivalence, EveryPathMatchesDenseBitForBit) {
   const auto [keep, threads] = GetParam();
   runtime::set_thread_count(threads);
   const Tensor m = cp_matrix(keep, static_cast<std::uint64_t>(keep) + 1);
-  xbar::MappingConfig map_cfg;
+  xbar::MappingConfig map_cfg;  // paper config: 128×128, 8/8-bit, 1-bit DAC
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
+  ASSERT_LE(layer.max_active_rows(), keep);
+  // Random codes plus the full-scale input, which drives every plane sum
+  // to its maximum.
+  std::vector<std::vector<std::int32_t>> xs;
+  for (const std::uint64_t seed : {7ULL, 8ULL, 21ULL})
+    xs.push_back(random_codes(layer.rows, map_cfg.input_bits, seed));
+  xs.emplace_back(static_cast<std::size_t>(layer.rows),
+                  (1 << map_cfg.input_bits) - 1);
 
-  MsimConfig variants[4];
-  variants[1].variation_sigma = 0.1;
-  variants[2].ir_drop_alpha = 0.3;
-  variants[3].variation_sigma = 0.1;
-  variants[3].ir_drop_alpha = 0.3;
-  for (const MsimConfig& base : variants) {
-    MsimConfig dense_cfg = base;
-    dense_cfg.use_plan = false;
-    AnalogLayerSim dense(layer, dense_cfg);
-    const auto x = random_codes(layer.rows, map_cfg.input_bits, 21);
-    const auto y_ref = dense.mvm(x);
-    for (const PlanKernel kernel :
-         {PlanKernel::kAuto, PlanKernel::kAos, PlanKernel::kSoa,
-          PlanKernel::kBitslice}) {
-      MsimConfig cfg = base;
-      cfg.plan_kernel = kernel;
-      AnalogLayerSim sim(layer, cfg);
-      EXPECT_EQ(sim.mvm(x), y_ref)
-          << "kernel=" << static_cast<int>(kernel) << " keep=" << keep
-          << " threads=" << threads << " sigma=" << base.variation_sigma
-          << " alpha=" << base.ir_drop_alpha;
-      EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions)
-          << "kernel=" << static_cast<int>(kernel);
-      EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
-          << "kernel=" << static_cast<int>(kernel);
-      EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles)
-          << "kernel=" << static_cast<int>(kernel);
+  for (const Regime& rg : kRegimes) {
+    const std::string what = std::string(rg.name) + " keep=" +
+                             std::to_string(keep) +
+                             " threads=" + std::to_string(threads);
+    const MsimStats oracle =
+        expect_matches_dense(layer, regime_config(rg, layer), rg.path, xs,
+                             what);
+    if (rg.adc_below_eq1 > 0) {
+      EXPECT_GT(oracle.adc_clip_events, 0)
+          << what << ": the regime must actually clip";
     }
-    dense.reset_stats();
   }
 }
 
@@ -264,63 +228,55 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4)));
 
 TEST(KernelEquivalence, MultiBitDacFallsBackBitExactly) {
-  // dac_bits == 2 disqualifies the bitslice packing; every kernel must
-  // land on the vector path and still match dense.
+  // A 2-bit DAC streams multi-bit chunks: the fused collapse (Eq. 1 ADC)
+  // and the vector path's per-cycle chunk gather (ADC below Eq. 1) must
+  // both still match dense.
   const Tensor m = cp_matrix(16, 99);
   xbar::MappingConfig map_cfg;
   map_cfg.dac_bits = 2;
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
-  MsimConfig dense_cfg;
-  dense_cfg.use_plan = false;
-  AnalogLayerSim dense(layer, dense_cfg);
-  const auto x = random_codes(layer.rows, map_cfg.input_bits, 31);
-  const auto y_ref = dense.mvm(x);
-  for (const PlanKernel kernel : {PlanKernel::kAos, PlanKernel::kSoa,
-                                  PlanKernel::kBitslice}) {
-    MsimConfig cfg;
-    cfg.plan_kernel = kernel;
-    AnalogLayerSim sim(layer, cfg);
-    EXPECT_EQ(sim.mvm(x), y_ref) << "kernel=" << static_cast<int>(kernel);
-    EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
-    EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events);
-  }
+  const std::vector<std::vector<std::int32_t>> xs = {
+      random_codes(layer.rows, map_cfg.input_bits, 31)};
+  expect_matches_dense(layer, {}, ExecPath::kFused, xs, "2-bit DAC, Eq. 1");
+  MsimConfig clip;
+  clip.adc_bits_override = layer.required_adc_bits() - 2;
+  expect_matches_dense(layer, clip, ExecPath::kVector, xs,
+                       "2-bit DAC, ADC below Eq. 1");
 }
 
-TEST(KernelEquivalence, UnderProvisionedAdcClipsIdenticallyAcrossKernels) {
-  // A 2-bit ADC saturates constantly: the fused path must disqualify
-  // itself (its predicate requires clip-free conversion) and every kernel
-  // must reproduce the dense clipping pattern exactly.
+TEST(KernelEquivalence, UnderProvisionedAdcClipsIdentically) {
+  // A 2-bit ADC on a dense column saturates constantly: the fused path
+  // must disqualify itself (its predicate requires clip-free conversion),
+  // and the vector (ideal) and general (non-ideal) paths must reproduce
+  // the dense clipping pattern exactly.
   const Tensor m = cp_matrix(128, 42);
   const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
-  MsimConfig base;
-  base.adc_bits_override = 2;
-  MsimConfig dense_cfg = base;
-  dense_cfg.use_plan = false;
-  AnalogLayerSim dense(layer, dense_cfg);
-  std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
-  const auto y_ref = dense.mvm(x);
-  EXPECT_GT(dense.stats().adc_clip_events, 0);
-  for (const PlanKernel kernel : {PlanKernel::kAuto, PlanKernel::kAos,
-                                  PlanKernel::kSoa, PlanKernel::kBitslice}) {
-    MsimConfig cfg = base;
-    cfg.plan_kernel = kernel;
-    AnalogLayerSim sim(layer, cfg);
-    EXPECT_EQ(sim.mvm(x), y_ref) << "kernel=" << static_cast<int>(kernel);
-    EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
-        << "kernel=" << static_cast<int>(kernel);
-  }
+  const std::vector<std::vector<std::int32_t>> xs = {
+      std::vector<std::int32_t>(static_cast<std::size_t>(layer.rows), 255)};
+  MsimConfig cfg;
+  cfg.adc_bits_override = 2;
+  EXPECT_GT(expect_matches_dense(layer, cfg, ExecPath::kVector, xs, "ideal")
+                .adc_clip_events,
+            0);
+  cfg.variation_sigma = 0.1;
+  EXPECT_GT(
+      expect_matches_dense(layer, cfg, ExecPath::kGeneral, xs, "variation")
+          .adc_clip_events,
+      0);
 }
 
 TEST(KernelEquivalence, FullyPrunedLayerDegeneratesToZero) {
   // bits == 0 ADCs (a fully-pruned mapping) must output zeros on every
-  // kernel without tripping the fused predicate (full_scale == 0).
+  // path without tripping the fused predicate (full_scale == 0).
   Tensor m({16, 4});
   const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
   std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 200);
-  for (const PlanKernel kernel : {PlanKernel::kAuto, PlanKernel::kAos,
-                                  PlanKernel::kSoa, PlanKernel::kBitslice}) {
-    MsimConfig cfg;
-    cfg.plan_kernel = kernel;
+  MsimConfig variation;
+  variation.variation_sigma = 0.1;
+  for (const auto& [cfg, path] :
+       {std::pair{MsimConfig{}, ExecPath::kFused},
+        std::pair{variation, ExecPath::kGeneral}}) {
+    expect_matches_dense(layer, cfg, path, {x}, "fully pruned");
     AnalogLayerSim sim(layer, cfg);
     const auto y = sim.mvm(x);
     for (const auto v : y) EXPECT_EQ(v, 0);
@@ -328,8 +284,8 @@ TEST(KernelEquivalence, FullyPrunedLayerDegeneratesToZero) {
 }
 
 /// The batched entry points must be indistinguishable from per-sample
-/// calls: outputs, ADC counters and DAC cycle counts, on every kernel,
-/// for the integer API and both real-domain input modes.
+/// calls: outputs, ADC counters and DAC cycle counts, on every execution
+/// path, for the integer API and both real-domain input modes.
 class BatchApiEquivalence : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override { runtime::set_thread_count(0); }
@@ -342,69 +298,65 @@ TEST_P(BatchApiEquivalence, BatchedMatchesPerSample) {
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
   constexpr std::int64_t kBatch = 5;
 
-  MsimConfig variants[2];
-  variants[1].variation_sigma = 0.1;  // forces the non-fused batch fallback
-  for (const MsimConfig& base : variants) {
-    for (const PlanKernel kernel :
-         {PlanKernel::kAuto, PlanKernel::kAos, PlanKernel::kSoa,
-          PlanKernel::kBitslice}) {
-      MsimConfig cfg = base;
-      cfg.plan_kernel = kernel;
-      AnalogLayerSim batched(layer, cfg);
-      AnalogLayerSim serial(layer, cfg);
+  // Fused (lane-major batches), vector and general (per-sample fallback).
+  for (const Regime& rg : {kRegimes[0], kRegimes[1], kRegimes[2]}) {
+    const MsimConfig cfg = regime_config(rg, layer);
+    AnalogLayerSim batched(layer, cfg);
+    AnalogLayerSim serial(layer, cfg);
+    ASSERT_EQ(batched.exec_path(), rg.path) << rg.name;
 
-      // Integer API.
-      std::vector<std::int32_t> xs;
-      for (std::int64_t s = 0; s < kBatch; ++s) {
-        const auto x = random_codes(layer.rows, map_cfg.input_bits,
-                                    100 + static_cast<std::uint64_t>(s));
-        xs.insert(xs.end(), x.begin(), x.end());
-      }
-      const auto yb = batched.mvm_batch(xs, kBatch);
-      ASSERT_EQ(yb.size(), static_cast<std::size_t>(kBatch * layer.cols));
-      for (std::int64_t s = 0; s < kBatch; ++s) {
-        const std::vector<std::int32_t> x(
-            xs.begin() + s * layer.rows, xs.begin() + (s + 1) * layer.rows);
-        const auto y = serial.mvm(x);
-        const std::vector<std::int64_t> row(yb.begin() + s * layer.cols,
-                                            yb.begin() + (s + 1) * layer.cols);
-        EXPECT_EQ(row, y) << "sample " << s << " kernel="
-                          << static_cast<int>(kernel);
-      }
-      EXPECT_EQ(batched.stats().adc_conversions,
-                serial.stats().adc_conversions);
-      EXPECT_EQ(batched.stats().adc_clip_events,
-                serial.stats().adc_clip_events);
-      EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
-
-      // Real-domain API, unsigned and signed (two-phase split).
-      xbar::QuantParams q;
-      q.bits = map_cfg.input_bits;
-      q.scale = 0.043F;
-      tinyadc::Rng rng(7);
-      std::vector<float> xr(static_cast<std::size_t>(kBatch * layer.rows));
-      for (auto& v : xr) v = rng.normal(0.0F, 2.0F);
-      for (const bool signed_input : {false, true}) {
-        std::vector<float> xin = xr;
-        if (!signed_input)
-          for (auto& v : xin) v = v < 0.0F ? -v : v;  // post-ReLU domain
-        const auto yb_real =
-            batched.mvm_real_batch(xin, kBatch, q, signed_input);
-        for (std::int64_t s = 0; s < kBatch; ++s) {
-          const std::vector<float> x(xin.begin() + s * layer.rows,
-                                     xin.begin() + (s + 1) * layer.rows);
-          const auto y = signed_input ? serial.mvm_real_signed(x, q)
-                                      : serial.mvm_real(x, q);
-          const std::vector<float> row(
-              yb_real.begin() + s * layer.cols,
-              yb_real.begin() + (s + 1) * layer.cols);
-          EXPECT_EQ(row, y) << "signed=" << signed_input << " sample " << s;
-        }
-      }
-      EXPECT_EQ(batched.stats().adc_conversions,
-                serial.stats().adc_conversions);
-      EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+    // Integer API.
+    std::vector<std::int32_t> xs;
+    for (std::int64_t s = 0; s < kBatch; ++s) {
+      const auto x = random_codes(layer.rows, map_cfg.input_bits,
+                                  100 + static_cast<std::uint64_t>(s));
+      xs.insert(xs.end(), x.begin(), x.end());
     }
+    const auto yb = batched.mvm_batch(xs, kBatch);
+    ASSERT_EQ(yb.size(), static_cast<std::size_t>(kBatch * layer.cols));
+    for (std::int64_t s = 0; s < kBatch; ++s) {
+      const std::vector<std::int32_t> x(
+          xs.begin() + s * layer.rows, xs.begin() + (s + 1) * layer.rows);
+      const auto y = serial.mvm(x);
+      const std::vector<std::int64_t> row(yb.begin() + s * layer.cols,
+                                          yb.begin() + (s + 1) * layer.cols);
+      EXPECT_EQ(row, y) << "sample " << s << " " << rg.name;
+    }
+    EXPECT_EQ(batched.stats().adc_conversions,
+              serial.stats().adc_conversions);
+    EXPECT_EQ(batched.stats().adc_clip_events,
+              serial.stats().adc_clip_events);
+    EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+
+    // Real-domain API, unsigned and signed (two-phase split).
+    xbar::QuantParams q;
+    q.bits = map_cfg.input_bits;
+    q.scale = 0.043F;
+    tinyadc::Rng rng(7);
+    std::vector<float> xr(static_cast<std::size_t>(kBatch * layer.rows));
+    for (auto& v : xr) v = rng.normal(0.0F, 2.0F);
+    for (const bool signed_input : {false, true}) {
+      std::vector<float> xin = xr;
+      if (!signed_input)
+        for (auto& v : xin) v = v < 0.0F ? -v : v;  // post-ReLU domain
+      const auto yb_real =
+          batched.mvm_real_batch(xin, kBatch, q, signed_input);
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        const std::vector<float> x(xin.begin() + s * layer.rows,
+                                   xin.begin() + (s + 1) * layer.rows);
+        const auto y = signed_input ? serial.mvm_real_signed(x, q)
+                                    : serial.mvm_real(x, q);
+        const std::vector<float> row(yb_real.begin() + s * layer.cols,
+                                     yb_real.begin() + (s + 1) * layer.cols);
+        EXPECT_EQ(row, y) << "signed=" << signed_input << " sample " << s
+                          << " " << rg.name;
+      }
+    }
+    EXPECT_EQ(batched.stats().adc_conversions,
+              serial.stats().adc_conversions);
+    EXPECT_EQ(batched.stats().adc_clip_events,
+              serial.stats().adc_clip_events);
+    EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
   }
 }
 

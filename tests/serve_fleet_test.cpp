@@ -1,8 +1,9 @@
 // Multi-tenant fleet serving: weighted-fair/strict-priority admission
 // properties, per-tenant determinism across worker counts and co-tenant
 // load, shape-bucketed batching, hot-swap under traffic (zero drops, no
-// torn batches, ADC baselines re-captured), per-tenant queue bounds, and
-// a concurrent submit/swap/stats soak (run under TSan in CI).
+// torn batches, ADC baselines re-captured), re-saving over a mapped
+// tenant's path (old version served until the swap), per-tenant queue
+// bounds, and a concurrent submit/swap/stats soak (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -529,6 +530,83 @@ TEST(Fleet, HotSwapUnderTrafficNoDropsNoTornBatches) {
   EXPECT_EQ(ts.stats.rejected, 0U);
   EXPECT_EQ(ts.version, 2U);
   EXPECT_EQ(fleet.tenant_version("hot"), 2U);
+}
+
+/// Re-saving an artifact over the path a mapped tenant serves must not
+/// change what the tenant executes: the writer publishes by rename, so the
+/// tenant's MAP_PRIVATE mapping keeps the old inode. The tenant serves the
+/// old version bit for bit until swap_tenant, and the new one after it.
+TEST(Fleet, ResaveOverMappedPathKeepsServingOldVersionUntilSwap) {
+  Fixture& f = fixture();
+  const std::int64_t n = f.data.test.size();
+  std::vector<std::vector<float>> want_v1, want_v2;
+  for (std::int64_t i = 0; i < n; ++i) {
+    want_v1.push_back(oracle(f.v1, f.data.test, i));
+    want_v2.push_back(oracle(f.v2, f.data.test, i));
+  }
+  ASSERT_NE(want_v1.front(), want_v2.front()) << "versions must differ";
+  const std::string path = "fleet_test_republish.tadc";
+  const auto save = [&](Bundle& b) {
+    artifact::save_artifact(
+        path, artifact::ArtifactInputs{b.meta, *b.model, b.net, *b.analog,
+                                       {}, {}});
+  };
+  save(f.v1);
+
+  FleetConfig fc;
+  fc.workers = 2;
+  FleetServer fleet(fc);
+  TenantConfig tc;
+  tc.name = "pub";
+  tc.max_batch = 4;
+  tc.max_wait_us = 200;
+  const int id = fleet.add_tenant(tc, path, /*mmap=*/true);
+
+  struct Tagged {
+    std::int64_t index = 0;
+    std::future<InferenceResult> fut;
+  };
+  std::vector<Tagged> before_swap;
+  std::mutex mu;
+  std::atomic<bool> resaving{true};
+  std::thread submitter([&] {
+    for (std::int64_t i = 0; resaving.load() || i < 64; ++i) {
+      Tagged t{i % n, fleet.submit(id, extract_image(f.data.test, i % n))};
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        before_swap.push_back(std::move(t));
+      }
+      if (i % 8 == 7)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  save(f.v2);  // publish different weights over the served path
+  save(f.v1);
+  save(f.v2);
+  resaving.store(false);
+  submitter.join();
+  // Submitted after the last re-save finished: still the old version.
+  for (std::int64_t i = 0; i < 16; ++i)
+    before_swap.push_back(
+        {i % n, fleet.submit(id, extract_image(f.data.test, i % n))});
+  fleet.wait_idle();
+  for (Tagged& t : before_swap) {
+    const InferenceResult r = t.fut.get();
+    EXPECT_EQ(r.version, 1U);
+    EXPECT_EQ(r.logits, want_v1[static_cast<std::size_t>(t.index)])
+        << "index " << t.index << ": a re-save changed live weights";
+  }
+
+  EXPECT_EQ(fleet.swap_tenant("pub", path, /*mmap=*/true), 2U);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const InferenceResult r =
+        fleet.submit(id, extract_image(f.data.test, i)).get();
+    EXPECT_EQ(r.version, 2U);
+    EXPECT_EQ(r.logits, want_v2[static_cast<std::size_t>(i)]) << "index " << i;
+  }
+  fleet.shutdown();
+  std::remove(path.c_str());
 }
 
 TEST(Fleet, HotSwapRecapturesAdcBaseline) {
