@@ -144,6 +144,7 @@ BENCHMARK(BM_AnalogMvmCp)
 // ---------------------------------------------------------------------------
 
 using bench::fnv1a;
+using bench::fold_digest;
 
 /// A sweep kernel: does a fixed amount of work and returns a digest of its
 /// output bytes. The same kernel is run at each thread count; digests must
@@ -155,14 +156,13 @@ struct SweepKernel {
   std::optional<std::uint64_t> reference = std::nullopt;
 };
 
-/// Digest of 16 mvm() calls on `x`, folded order-sensitively: XORing the
-/// digests of 16 identical outputs would cancel to zero and prove nothing.
+/// Digest of 16 mvm() calls on `x` (see fold_digest).
 std::uint64_t digest_mvms(msim::AnalogLayerSim& sim,
                           const std::vector<std::int32_t>& x) {
   std::uint64_t h = 0;
   for (int rep = 0; rep < 16; ++rep) {
     const auto y = sim.mvm(x);
-    h = (h ^ fnv1a(y.data(), sizeof(y[0]) * y.size())) * 1099511628211ULL;
+    h = fold_digest(h, fnv1a(y.data(), sizeof(y[0]) * y.size()));
   }
   return h;
 }
@@ -178,7 +178,8 @@ std::vector<SweepKernel> make_sweep_kernels() {
     std::uint64_t h = 0;
     for (int rep = 0; rep < 8; ++rep) {
       gemm(a, false, b, false, c);
-      h ^= fnv1a(c.data(), sizeof(float) * static_cast<std::size_t>(c.numel()));
+      h = fold_digest(
+          h, fnv1a(c.data(), sizeof(float) * static_cast<std::size_t>(c.numel())));
     }
     return h;
   }});

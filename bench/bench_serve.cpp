@@ -1,14 +1,13 @@
-// Serving-engine throughput bench: sequential per-image evaluation vs the
-// dynamically batched InferenceEngine at 1/2/4 worker sessions.
+// Serving throughput bench: sequential per-image evaluation vs a
+// dynamically batched one-tenant FleetServer at 1/2/4 shared workers (the
+// `serve_engine` rows), then cold starts and a two-tenant fleet with a
+// hot-swap.
 //
-// Inner operator parallelism is pinned to 1 thread, so the engine rows
-// measure pure request-level parallelism: each worker session runs its
-// forwards inline and N workers scale with the machine's cores (on a
-// single-core box the engine matches the sequential baseline within
-// noise — the analog MVM work is strictly per-image, so batching buys
-// concurrency, not FLOP amortization).
+// Inner operator parallelism is pinned to 1 thread, so the worker rows
+// measure request-level parallelism plus batching: each worker session
+// runs its forwards inline and N workers scale with the machine's cores.
 //
-// All engine runs use deterministic mode, so every row's output digest
+// All fleet runs use deterministic mode, so every row's output digest
 // (logits bytes + predicted label, in arrival order) must match the
 // sequential baseline byte for byte — the bench exits nonzero on any
 // mismatch, making it a determinism check as well as a timing table.
@@ -120,117 +119,33 @@ int run(int argc, char** argv) {
   rows.push_back({"serve_seq", 1, seq_ms, true});
 
   bool all_identical = true;
+  // The rows keep the name "serve_engine" so the committed baseline still
+  // gates them; each times the load through a one-tenant fleet.
   for (const int workers : {1, 2, 4}) {
-    serve::ServeConfig cfg;
-    cfg.workers = workers;
-    cfg.max_batch = 8;
-    cfg.deterministic = true;
-    serve::InferenceEngine engine(analog, cfg);
+    serve::FleetServer fleet(serve::FleetConfig{workers});
+    serve::TenantConfig tc;
+    tc.name = "serve";
+    tc.max_batch = 8;
+    tc.deterministic = true;
+    const int tenant = fleet.add_tenant(tc, analog);
     serve::LoadgenConfig lc;
     lc.requests = requests;
     lc.max_outstanding = 32;
     const auto t0 = Clock::now();
     const serve::LoadgenReport report =
-        serve::run_loadgen(engine, data.test, lc);
+        serve::run_loadgen(fleet, tenant, data.test, lc);
     const double ms = ms_since(t0);
-    engine.shutdown();
+    fleet.shutdown();
     const bool identical = report.output_digest == seq_digest;
     all_identical = all_identical && identical;
     char name[48];
-    std::snprintf(name, sizeof(name), "engine (%d worker%s)", workers,
+    std::snprintf(name, sizeof(name), "fleet (%d worker%s)", workers,
                   workers == 1 ? "" : "s");
     std::printf("%-24s %10.1f %10.1f %8.2fx%s\n", name, ms,
                 1000.0 * static_cast<double>(requests) / ms, seq_ms / ms,
                 identical ? "" : "  DIGEST MISMATCH");
     rows.push_back({"serve_engine", workers, ms, identical});
   }
-  // Pipeline phase: batch-1 latency on the deep full-width constructors
-  // (resnet50 / vgg16, width-scaled to the bench CPU budget like every
-  // other bench), sequential vs the stage-parallel pipeline at 1/2/4
-  // stages. With cores available, batch-1 latency improves monotonically
-  // with the stage count (up to the partition's bottleneck stage); on a
-  // single-core box the stage threads time-share and the pipeline matches
-  // sequential within noise. Either way the digests are hard-gated: every
-  // stage count must reproduce the sequential bytes exactly.
-  const std::int64_t pipe_requests = quick_mode() ? 8 : 32;
-  for (const std::string arch : {"resnet50", "vgg16"}) {
-    nn::ModelConfig pmc;
-    pmc.num_classes = spec.num_classes;
-    pmc.image_size = 8;
-    pmc.width_mult = 0.125F;
-    const auto pmodel = nn::build_model(arch, pmc);
-    project_cp_inplace(*pmodel, 8, {32, 32});
-    const auto pnet = xbar::map_model(*pmodel, map_cfg);
-    msim::AnalogNetwork panalog(*pmodel, pnet, msim::MsimConfig{});
-    panalog.calibrate(data.train, 8);
-
-    // Sequential batch-1 baseline for this model (also the digest oracle).
-    std::uint64_t pseq_digest = serve::fnv1a(nullptr, 0);
-    double pseq_ms = 0.0;
-    {
-      msim::AnalogSession session(panalog);
-      // Untimed warm-up forward (workspace + arena faults).
-      {
-        const Tensor img = extract_image(data.test, 0);
-        Tensor batch({1, img.dim(0), img.dim(1), img.dim(2)});
-        std::memcpy(batch.data(), img.data(),
-                    static_cast<std::size_t>(img.numel()) * sizeof(float));
-        session.forward(batch);
-      }
-      const auto t0 = Clock::now();
-      for (std::int64_t i = 0; i < pipe_requests; ++i) {
-        const Tensor img = extract_image(data.test, i % data.test.size());
-        Tensor batch({1, img.dim(0), img.dim(1), img.dim(2)});
-        std::memcpy(batch.data(), img.data(),
-                    static_cast<std::size_t>(img.numel()) * sizeof(float));
-        const Tensor logits = session.forward(batch);
-        const std::int64_t label = argmax_range(logits, 0, logits.numel());
-        pseq_digest = serve::fnv1a(
-            logits.data(),
-            static_cast<std::size_t>(logits.numel()) * sizeof(float),
-            pseq_digest);
-        pseq_digest = serve::fnv1a(&label, sizeof(label), pseq_digest);
-      }
-      pseq_ms = ms_since(t0);
-    }
-    char seq_name[48];
-    std::snprintf(seq_name, sizeof(seq_name), "%s seq (batch 1)",
-                  arch.c_str());
-    std::printf("%-24s %10.1f %10.1f %8.2fx\n", seq_name, pseq_ms,
-                1000.0 * static_cast<double>(pipe_requests) / pseq_ms, 1.0);
-    char row_name[64];
-    std::snprintf(row_name, sizeof(row_name), "serve_pipeline_%s_seq",
-                  arch.c_str());
-    rows.push_back({row_name, 1, pseq_ms, true});
-
-    for (const int stages : {1, 2, 4}) {
-      serve::ServeConfig cfg;
-      cfg.pipeline_stages = stages;
-      cfg.max_batch = 1;  // batch-1 latency: pipelining is the only lever
-      cfg.deterministic = true;
-      serve::InferenceEngine engine(panalog, cfg);
-      serve::LoadgenConfig lc;
-      lc.requests = pipe_requests;
-      lc.max_outstanding = 8;
-      const auto t0 = Clock::now();
-      const serve::LoadgenReport report =
-          serve::run_loadgen(engine, data.test, lc);
-      const double ms = ms_since(t0);
-      engine.shutdown();
-      const bool identical = report.output_digest == pseq_digest;
-      all_identical = all_identical && identical;
-      char name[48];
-      std::snprintf(name, sizeof(name), "%s pipeline x%d", arch.c_str(),
-                    stages);
-      std::printf("%-24s %10.1f %10.1f %8.2fx%s\n", name, ms,
-                  1000.0 * static_cast<double>(pipe_requests) / ms,
-                  pseq_ms / ms, identical ? "" : "  DIGEST MISMATCH");
-      std::snprintf(row_name, sizeof(row_name), "serve_pipeline_%s",
-                    arch.c_str());
-      rows.push_back({row_name, stages, ms, identical});
-    }
-  }
-
   // Cold-start phase: time-to-first-response for a fresh serving process.
   // "inprocess" pays the full pipeline (build + prune-project + map +
   // plan-compile + calibrate); "artifact" deserializes the deployment file
@@ -247,12 +162,12 @@ int run(int argc, char** argv) {
   }
   const Tensor first_img = extract_image(data.test, 0);
   const auto first_response_digest = [&](msim::AnalogNetwork& an) {
-    serve::ServeConfig cfg;
-    cfg.workers = 1;
-    serve::InferenceEngine engine(an, cfg);
-    auto fut = engine.submit(first_img);
-    const serve::InferenceResult r = fut.get();
-    engine.shutdown();
+    serve::FleetServer fleet(serve::FleetConfig{1});
+    serve::TenantConfig tc;
+    tc.name = "coldstart";
+    const int tenant = fleet.add_tenant(tc, an);
+    const serve::InferenceResult r = fleet.submit(tenant, first_img).get();
+    fleet.shutdown();
     return serve::fnv1a(r.logits.data(), r.logits.size() * sizeof(float));
   };
 

@@ -28,6 +28,7 @@ namespace {
 
 using namespace tinyadc;
 using bench::fnv1a;
+using bench::fold_digest;
 
 using Clock = std::chrono::steady_clock;
 
@@ -57,10 +58,12 @@ nn::TrainConfig bench_train_config() {
 std::uint64_t digest_params(nn::Model& model) {
   std::uint64_t h = 0;
   for (const nn::Param* p : model.params()) {
-    h ^= fnv1a(p->value.data(),
-               sizeof(float) * static_cast<std::size_t>(p->value.numel()));
-    h ^= fnv1a(p->grad.data(),
-               sizeof(float) * static_cast<std::size_t>(p->grad.numel()));
+    h = fold_digest(h, fnv1a(p->value.data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(p->value.numel())));
+    h = fold_digest(h, fnv1a(p->grad.data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(p->grad.numel())));
   }
   return h;
 }
@@ -175,14 +178,17 @@ std::vector<SweepKernel> make_sweep_kernels(const data::Batch& batch) {
            for (int rep = 0; rep < 6; ++rep) {
              const Tensor out = conv.forward(input, /*training=*/true);
              const Tensor gin = conv.backward(gout);
-             h ^= fnv1a(out.data(),
-                        sizeof(float) * static_cast<std::size_t>(out.numel()));
-             h ^= fnv1a(gin.data(),
-                        sizeof(float) * static_cast<std::size_t>(gin.numel()));
+             h = fold_digest(
+                 h, fnv1a(out.data(), sizeof(float) *
+                                          static_cast<std::size_t>(out.numel())));
+             h = fold_digest(
+                 h, fnv1a(gin.data(), sizeof(float) *
+                                          static_cast<std::size_t>(gin.numel())));
            }
            const Tensor& gw = conv.weight().grad;
-           h ^= fnv1a(gw.data(),
-                      sizeof(float) * static_cast<std::size_t>(gw.numel()));
+           h = fold_digest(h, fnv1a(gw.data(),
+                                    sizeof(float) *
+                                        static_cast<std::size_t>(gw.numel())));
            return h;
          }});
   }
@@ -212,8 +218,8 @@ std::vector<SweepKernel> make_sweep_kernels(const data::Batch& batch) {
     for (std::size_t i = 0; i < pruner.specs().size(); ++i) {
       const auto& z = pruner.z(i);
       const auto& u = pruner.u(i);
-      h ^= fnv1a(z.data(), sizeof(float) * z.size());
-      h ^= fnv1a(u.data(), sizeof(float) * u.size());
+      h = fold_digest(h, fnv1a(z.data(), sizeof(float) * z.size()));
+      h = fold_digest(h, fnv1a(u.data(), sizeof(float) * u.size()));
     }
     return h;
   }});

@@ -116,6 +116,13 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n) {
   return h;
 }
 
+/// Folds one digest into a running one, order-sensitively. A plain XOR
+/// fold would cancel the digests of identical repeats to zero and prove
+/// nothing.
+inline std::uint64_t fold_digest(std::uint64_t h, std::uint64_t digest) {
+  return (h ^ digest) * 1099511628211ULL;
+}
+
 /// One row of a kernel thread-sweep: wall time of a fixed amount of work at
 /// one thread count, plus whether the output was bit-identical to the
 /// 1-thread run of the same kernel (the runtime's determinism contract).

@@ -191,13 +191,8 @@ class AnalogLayerSim {
   /// only read while no mvm() is in flight.
   const MsimStats& stats() const { return stats_; }
   /// Locked copy of the statistics; safe to call while concurrent mvm()
-  /// calls are running (used by the serving engine's live stats snapshot).
+  /// calls are running (used by the fleet's live stats snapshot).
   MsimStats stats_snapshot() const;
-  /// Issues software prefetches for the heads of this layer's plan streams
-  /// (the arrays its execution path sweeps first). A pure read-side hint —
-  /// no state changes — used by the pipeline executor to warm the next
-  /// stage's plan while the current stage's MVMs are still in flight.
-  void prefetch_plan() const;
   /// Zeroes statistics.
   void reset_stats();
 

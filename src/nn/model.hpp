@@ -45,14 +45,14 @@ WeightMatrixView matrix_view(Conv2d& conv);
 /// Builds the crossbar-layout view for a linear layer.
 WeightMatrixView matrix_view(Linear& linear);
 
-/// One pipeline-stage unit of a model: a direct child of the root
-/// Sequential (a stem conv, a whole residual block, a pool, the
-/// classifier head, ...) plus the prunable-layer indices it contains.
+/// One stage unit of a model: a direct child of the root Sequential (a
+/// stem conv, a whole residual block, a pool, the classifier head, ...)
+/// plus the prunable-layer indices it contains.
 ///
-/// Units are the atomic grain of the stage partitioner: the root chain's
-/// forward is exactly the composition of its children's forwards, so any
-/// contiguous grouping of units computes the same function as the whole
-/// model (see Sequential::forward_range). `prunable` holds indices into
+/// Units are the grain of unit-by-unit forwards (the per-unit profile):
+/// the root chain's forward is exactly the composition of its children's
+/// forwards, so any contiguous grouping of units computes the same
+/// function as the whole model (see Sequential::forward_range). `prunable` holds indices into
 /// prunable_views() order — the same order xbar::MappedNetwork::layers and
 /// msim::AnalogNetwork::sims() use — so a unit's analog cost can be read
 /// straight off the mapping's occupancy census.

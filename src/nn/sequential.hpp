@@ -33,11 +33,10 @@ class Sequential : public Layer {
   void visit(const std::function<void(Layer&)>& fn) override;
   LayerPtr clone() const override;
 
-  /// Runs only children [begin, end) — the pipeline-stage slice of the
-  /// chain. forward(x, t) == forward_range(x, 0, size(), t) by
-  /// construction, so splitting a forward at any child boundary never
-  /// changes what each child computes (the determinism basis of the
-  /// stage-parallel executor).
+  /// Runs only children [begin, end) — a stage slice of the chain.
+  /// forward(x, t) == forward_range(x, 0, size(), t) by construction, so
+  /// splitting a forward at any child boundary never changes what each
+  /// child computes (what lets a per-unit profile time the real forward).
   Tensor forward_range(const Tensor& input, std::size_t begin,
                        std::size_t end, bool training);
 

@@ -12,6 +12,11 @@ namespace tinyadc::serve {
 
 namespace {
 
+/// Largest accepted TenantConfig::max_batch. The tenant's batch-size
+/// histogram holds max_batch + 1 counters, so the bound keeps it small and
+/// rules out the wrap of a max_batch near SIZE_MAX.
+constexpr std::size_t kMaxBatch = 65536;
+
 /// Sum of the locked per-layer counter snapshots of a compiled network.
 msim::MsimStats sims_total(const msim::AnalogNetwork& compiled) {
   msim::MsimStats total;
@@ -22,12 +27,6 @@ msim::MsimStats sims_total(const msim::AnalogNetwork& compiled) {
     total.dac_cycles += s.dac_cycles;
   }
   return total;
-}
-
-void accumulate(msim::MsimStats& into, const msim::MsimStats& s) {
-  into.adc_conversions += s.adc_conversions;
-  into.adc_clip_events += s.adc_clip_events;
-  into.dac_cycles += s.dac_cycles;
 }
 
 /// into += now - baseline.
@@ -99,28 +98,31 @@ FleetServer::FleetServer(FleetConfig config)
 
 FleetServer::~FleetServer() { shutdown(); }
 
+void FleetServer::add_sessions(Version& v) const {
+  for (int w = 0; w < config_.workers; ++w)
+    v.sessions.push_back(std::make_unique<msim::AnalogSession>(*v.analog));
+}
+
 std::shared_ptr<FleetServer::Version> FleetServer::build_version(
-    const TenantConfig& cfg, artifact::Deployment deployment) {
+    artifact::Deployment deployment) {
   auto v = std::make_shared<Version>();
   v->deployment.emplace(std::move(deployment));
   v->deployment->finish_streaming();
   v->analog = v->deployment->analog.get();
   TINYADC_CHECK(v->analog != nullptr && v->analog->calibrated(),
                 "artifact deployment is not a calibrated analog network");
-  if (cfg.pipeline_stages == 0) {
-    for (int w = 0; w < config_.workers; ++w)
-      v->sessions.push_back(std::make_unique<msim::AnalogSession>(*v->analog));
-  }
+  add_sessions(*v);
   return v;
 }
 
 int FleetServer::register_tenant(const TenantConfig& config,
                                  std::shared_ptr<Version> version) {
   TINYADC_CHECK(!config.name.empty(), "tenant needs a name");
-  TINYADC_CHECK(config.max_batch >= 1, "max_batch must be >= 1");
+  TINYADC_CHECK(config.max_batch >= 1 && config.max_batch <= kMaxBatch,
+                "max_batch must be in [1, " << kMaxBatch << "], got "
+                                            << config.max_batch);
   TINYADC_CHECK(config.weight > 0.0, "tenant weight must be > 0");
   TINYADC_CHECK(config.priority >= 0, "tenant priority must be >= 0");
-  TINYADC_CHECK(config.pipeline_stages >= 0, "pipeline_stages must be >= 0");
   {
     // Counters accumulated before the tenant existed (calibration runs,
     // other tenants over the same in-process network) are not its traffic.
@@ -138,11 +140,8 @@ int FleetServer::register_tenant(const TenantConfig& config,
   tenant->t_start = Clock::now();
   tenant->batch_hist.assign(config.max_batch + 1, 0);
   tenant->current = std::move(version);
-  Tenant* raw = tenant.get();
   picker_.add(config.priority, config.weight);
   tenants_.push_back(std::move(tenant));
-  if (config.pipeline_stages > 0)
-    raw->dispatcher = std::thread([this, idx] { tenant_dispatcher_main(idx); });
   return idx;
 }
 
@@ -151,7 +150,7 @@ int FleetServer::add_tenant(const TenantConfig& config,
   artifact::Deployment dep =
       mmap ? artifact::load_artifact_mapped(artifact_path, true)
            : artifact::load_artifact(artifact_path);
-  return register_tenant(config, build_version(config, std::move(dep)));
+  return register_tenant(config, build_version(std::move(dep)));
 }
 
 int FleetServer::add_tenant(const TenantConfig& config,
@@ -160,10 +159,7 @@ int FleetServer::add_tenant(const TenantConfig& config,
                 "fleet tenants require a calibrated AnalogNetwork");
   auto v = std::make_shared<Version>();
   v->analog = &compiled;
-  if (config.pipeline_stages == 0) {
-    for (int w = 0; w < config_.workers; ++w)
-      v->sessions.push_back(std::make_unique<msim::AnalogSession>(compiled));
-  }
+  add_sessions(*v);
   return register_tenant(config, std::move(v));
 }
 
@@ -306,9 +302,7 @@ bool FleetServer::take_shared(Popped& out) {
     std::vector<char> ready(tenants_.size(), 0);
     bool any = false;
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      const Tenant& t = *tenants_[i];
-      if (t.cfg.pipeline_stages > 0) continue;  // dedicated dispatcher
-      if (tenant_ready(t, now)) {
+      if (tenant_ready(*tenants_[i], now)) {
         ready[i] = 1;
         any = true;
       }
@@ -321,39 +315,17 @@ bool FleetServer::take_shared(Popped& out) {
       cv_.notify_all();  // more ready work may remain for other takers
       return true;
     }
-    // Exit only when stopping AND every shared-pool tenant is empty. A
-    // swap-blocked tenant with queued work keeps the pool alive: the swap
-    // unblocks it (and notifies cv_) before swap_tenant returns.
+    // Exit only when stopping AND every tenant is empty. A swap-blocked
+    // tenant with queued work keeps the pool alive: the swap unblocks it
+    // (and notifies cv_) before swap_tenant returns.
     bool pending = false;
-    for (const auto& tp : tenants_)
-      if (tp->cfg.pipeline_stages == 0 && tp->queued > 0) pending = true;
-    if (stop_ && !pending) return false;
     std::optional<Clock::time_point> dl;
     for (const auto& tp : tenants_) {
-      if (tp->cfg.pipeline_stages > 0) continue;
+      pending = pending || tp->queued > 0;
       const auto d = tenant_deadline(*tp);
       if (d && (!dl || *d < *dl)) dl = d;
     }
-    if (dl)
-      cv_.wait_until(lk, *dl);
-    else
-      cv_.wait(lk);
-  }
-}
-
-bool FleetServer::take_tenant(int idx, Popped& out) {
-  std::unique_lock<std::mutex> lk(mu_);
-  Tenant& t = *tenants_[static_cast<std::size_t>(idx)];
-  for (;;) {
-    const auto now = Clock::now();
-    if (tenant_ready(t, now)) {
-      out = pop_batch(idx);
-      lk.unlock();
-      cv_.notify_all();
-      return true;
-    }
-    if (stop_ && t.queued == 0) return false;
-    const auto dl = tenant_deadline(t);
+    if (stop_ && !pending) return false;
     if (dl)
       cv_.wait_until(lk, *dl);
     else
@@ -391,40 +363,6 @@ void FleetServer::worker_main(int worker) {
     const std::size_t n = p.batch.size();
     p.version.reset();  // drop the version pin before waking swap waiters
     complete_inflight(t, n);
-  }
-}
-
-void FleetServer::tenant_dispatcher_main(int idx) {
-  for (;;) {
-    Popped p;
-    if (!take_tenant(idx, p)) return;
-    Tenant* tenant = p.tenant;  // stable; callbacks may outlive this frame
-    Tenant& t = *tenant;
-    Tensor images = assemble(p.batch);
-    Version& v = *p.version;
-    if (!v.executor) {
-      // First batch on this version: build the pipeline with this batch as
-      // the timing probe's sample and fold the probe's counter delta into
-      // the version's baseline — served-traffic deltas stay byte-identical
-      // to the shared-pool path (and survive hot-swaps, which rebuild the
-      // executor and re-run the probe on the new version).
-      auto executor = std::make_unique<PipelineExecutor>(
-          *v.analog, t.cfg.pipeline_stages, images);
-      std::lock_guard<std::mutex> sl(stats_mu_);
-      accumulate(v.baseline, executor->probe_stats());
-      v.executor = std::move(executor);
-    }
-    auto shared = std::make_shared<std::vector<Pending>>(std::move(p.batch));
-    auto version = p.version;
-    const std::uint64_t batch_seq = p.batch_seq;
-    v.executor->submit(
-        std::move(images),
-        [this, tenant, shared, batch_seq, version](Tensor logits,
-                                                   std::exception_ptr error) {
-          finish_batch(*tenant, *shared, batch_seq, version->ordinal, logits,
-                       error);
-          complete_inflight(*tenant, shared->size());
-        });
   }
 }
 
@@ -480,12 +418,10 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
   artifact::Deployment dep = mmap ? artifact::load_artifact_mapped(path, true)
                                   : artifact::load_artifact(path);
   int idx = -1;
-  TenantConfig cfg;
   {
     std::lock_guard<std::mutex> lk(mu_);
     idx = tenant_id_locked(name);
     const Tenant& t = *tenants_[static_cast<std::size_t>(idx)];
-    cfg = t.cfg;
     if (t.current->deployment) {
       TINYADC_CHECK(
           dep.meta.model_config.num_classes ==
@@ -498,7 +434,7 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
                                   << ")");
     }
   }
-  std::shared_ptr<Version> next = build_version(cfg, std::move(dep));
+  std::shared_ptr<Version> next = build_version(std::move(dep));
 
   std::shared_ptr<Version> old;
   std::uint64_t ordinal = 0;
@@ -528,10 +464,8 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
     t.swap_blocked = false;
   }
   cv_.notify_all();  // release the held dequeues (and any queued swap)
-  // Tear the retired version down outside the locks: drain its pipeline
-  // stage threads (no batches remain — inflight was zero at the flip),
-  // then drop the deployment.
-  if (old->executor) old->executor->shutdown();
+  // Drop the retired version (its sessions, then its deployment) outside
+  // the locks; no batch pins it any more — inflight was zero at the flip.
   old.reset();
   return ordinal;
 }
@@ -556,25 +490,6 @@ void FleetServer::shutdown() {
   cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  std::vector<Tenant*> tenants;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& tp : tenants_) tenants.push_back(tp.get());
-  }
-  for (Tenant* t : tenants)
-    if (t->dispatcher.joinable()) t->dispatcher.join();
-  // Dispatchers have exited, so no more submits; drain the stage threads
-  // (batches already in a pipeline still complete — their callbacks take
-  // mu_, which is why no lock is held here). Executors stay alive for
-  // post-shutdown stats().
-  for (Tenant* t : tenants) {
-    std::shared_ptr<Version> v;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      v = t->current;
-    }
-    if (v && v->executor) v->executor->shutdown();
-  }
 }
 
 FleetStats FleetServer::stats() const {
@@ -648,8 +563,6 @@ FleetStats FleetServer::stats() const {
       st.adc_conversions = delta.adc_conversions;
       st.adc_clip_events = delta.adc_clip_events;
       st.dac_cycles = delta.dac_cycles;
-      st.pipeline_stages = t.cfg.pipeline_stages;
-      if (s.version->executor) st.stages = s.version->executor->stage_stats();
 
       agg.requests += st.requests;
       agg.batches += st.batches;

@@ -5,11 +5,10 @@
 // in-process AnalogNetwork — with its own batching policy, queue bound,
 // priority class and fair-share weight. Tenants share the process's
 // serving threads: a pool of `FleetConfig::workers` threads serves every
-// non-pipeline tenant (each worker holds one AnalogSession replica per
-// tenant version), while a tenant configured with `pipeline_stages > 0`
-// gets its own batching dispatcher feeding a PipelineExecutor's stage
-// threads (serve/pipeline.hpp), so both execution modes from the
-// single-model engine compose with the registry.
+// tenant (each worker holds one AnalogSession replica per tenant version).
+// The fleet is the repo's one serving core: single-model serving (the CLI
+// `serve`/`loadgen`, bench_serve) is a one-tenant fleet, whose one shape
+// bucket is a plain FIFO batching queue (DESIGN.md §10).
 //
 // Admission and scheduling:
 //  * `max_queue` rejection is per tenant — one tenant flooding its queue
@@ -61,11 +60,22 @@
 
 #include "artifact/artifact.hpp"
 #include "msim/analog_network.hpp"
-#include "serve/engine.hpp"
-#include "serve/pipeline.hpp"
 #include "serve/stats.hpp"
 
 namespace tinyadc::serve {
+
+/// Outcome of one served request.
+struct InferenceResult {
+  std::uint64_t seq = 0;         ///< per-tenant arrival sequence number
+  std::vector<float> logits;     ///< class scores
+  std::int64_t label = 0;        ///< argmax of logits
+  double latency_us = 0.0;       ///< submit-to-completion (not deterministic)
+  std::uint64_t batch_seq = 0;   ///< which batch served this request
+  std::size_t batch_size = 0;    ///< size of that batch
+  /// Model-version ordinal that served this request: 1 for the version a
+  /// tenant started with, incremented by every hot-swap.
+  std::uint64_t version = 0;
+};
 
 /// Per-tenant deployment + admission policy.
 struct TenantConfig {
@@ -76,12 +86,11 @@ struct TenantConfig {
   bool deterministic = false;       ///< pin batch composition per bucket
   int priority = 0;    ///< strict admission class; 0 is served first
   double weight = 1.0; ///< fair share within the priority class (> 0)
-  int pipeline_stages = 0;  ///< > 0: dedicated stage-pipeline execution
 };
 
 /// Fleet-wide knobs.
 struct FleetConfig {
-  int workers = 1;  ///< shared worker threads for non-pipeline tenants
+  int workers = 1;  ///< shared worker threads (one session each per tenant)
 };
 
 /// One tenant's slice of a FleetStats snapshot.
@@ -93,7 +102,7 @@ struct TenantStats {
   std::size_t queued = 0;     ///< requests waiting in the shape buckets
   std::string artifact_path;  ///< active version's file ("" = in-process)
   std::uint64_t artifact_digest = 0;  ///< artifact::ArtifactInfo digest
-  ServeStats stats;           ///< the shared per-engine schema
+  ServeStats stats;           ///< the shared per-tenant schema
 };
 
 /// Point-in-time snapshot of the whole fleet.
@@ -156,7 +165,10 @@ class FleetServer {
 
   /// Registers a tenant served from a `.tadc` artifact (version ordinal 1).
   /// `mmap` selects the zero-copy load path with async section streaming.
-  /// Returns the tenant's index.
+  /// Returns the tenant's index. Every add_tenant throws CheckError on an
+  /// invalid config (empty or duplicate name, max_batch outside
+  /// [1, 65536] — the tenant's batch-size histogram holds max_batch + 1
+  /// counters — weight <= 0, priority < 0).
   int add_tenant(const TenantConfig& config, const std::string& artifact_path,
                  bool mmap = false);
 
@@ -219,16 +231,14 @@ class FleetServer {
   /// One deployed model version. Batches pin their version with a
   /// shared_ptr copied at dequeue, so a retired version stays alive until
   /// its last batch completes. Member order is destruction order in
-  /// reverse: the executor and sessions go first, the deployment last.
+  /// reverse: the sessions go first, the deployment last.
   struct Version {
     std::uint64_t ordinal = 1;
     std::optional<artifact::Deployment> deployment;  ///< empty = in-process
     const msim::AnalogNetwork* analog = nullptr;
-    /// One session replica per shared worker (empty for pipeline tenants).
+    /// One session replica per shared worker.
     std::vector<std::unique_ptr<msim::AnalogSession>> sessions;
-    std::unique_ptr<PipelineExecutor> executor;  ///< pipeline mode, lazy
-    /// Counter totals at activation (plus the pipeline probe's delta once
-    /// the executor builds); guarded by stats_mu_.
+    /// Counter totals at activation; guarded by stats_mu_.
     msim::MsimStats baseline;
   };
 
@@ -248,7 +258,6 @@ class FleetServer {
     std::size_t max_queue_depth = 0;
     std::uint64_t next_ordinal = 2;
     std::shared_ptr<Version> current;
-    std::thread dispatcher;  ///< pipeline tenants only
 
     // Completion stats — guarded by FleetServer::stats_mu_.
     LatencyHistogram latency;
@@ -270,10 +279,11 @@ class FleetServer {
     std::shared_ptr<Version> version;  ///< pinned at dequeue — never torn
   };
 
-  /// Builds a Version over a loaded artifact (sessions sized for the
-  /// shared pool unless the tenant runs a pipeline). No locks taken.
-  std::shared_ptr<Version> build_version(const TenantConfig& cfg,
-                                         artifact::Deployment deployment);
+  /// Builds a Version over a loaded artifact, one session per shared
+  /// worker. No locks taken.
+  std::shared_ptr<Version> build_version(artifact::Deployment deployment);
+  /// Appends one session replica of `v.analog` per shared worker.
+  void add_sessions(Version& v) const;
   int register_tenant(const TenantConfig& config,
                       std::shared_ptr<Version> version);
   int tenant_id_locked(const std::string& name) const;
@@ -292,15 +302,12 @@ class FleetServer {
   /// front sequence number — deterministic given arrival order.
   Popped pop_batch(int idx);
 
-  /// Shared-pool dequeue: waits for any ready non-pipeline tenant, picks
-  /// one via the weighted-fair picker, pops. False when the pool should
-  /// exit (stopping and nothing left to serve).
+  /// Shared-pool dequeue: waits for any ready tenant, picks one via the
+  /// weighted-fair picker, pops. False when the pool should exit (stopping
+  /// and nothing left to serve).
   bool take_shared(Popped& out);
-  /// Single-tenant dequeue for a pipeline dispatcher. False on exit.
-  bool take_tenant(int idx, Popped& out);
 
   void worker_main(int worker);
-  void tenant_dispatcher_main(int idx);
 
   /// Copies the batch's images into one (B, C, H, W) tensor.
   static Tensor assemble(const std::vector<Pending>& batch);

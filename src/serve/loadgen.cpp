@@ -22,7 +22,8 @@ Tensor extract_image(const data::Dataset& ds, std::int64_t index) {
 
 }  // namespace
 
-LoadgenReport run_loadgen(InferenceEngine& engine, const data::Dataset& ds,
+LoadgenReport run_loadgen(FleetServer& fleet, int tenant,
+                          const data::Dataset& ds,
                           const LoadgenConfig& config) {
   TINYADC_CHECK(ds.size() > 0, "loadgen needs a non-empty dataset");
   TINYADC_CHECK(config.requests > 0, "loadgen needs requests > 0");
@@ -43,6 +44,9 @@ LoadgenReport run_loadgen(InferenceEngine& engine, const data::Dataset& ds,
     Outstanding o = std::move(window.front());
     window.pop_front();
     const InferenceResult r = o.future.get();
+    TINYADC_CHECK(r.logits.size() == static_cast<std::size_t>(ds.num_classes),
+                  "tenant serves " << r.logits.size() << " classes, dataset has "
+                                   << ds.num_classes);
     digest = fnv1a(r.logits.data(), r.logits.size() * sizeof(float), digest);
     digest = fnv1a(&r.label, sizeof(r.label), digest);
     if (r.label == ds.labels[static_cast<std::size_t>(o.index)]) ++correct;
@@ -61,11 +65,11 @@ LoadgenReport run_loadgen(InferenceEngine& engine, const data::Dataset& ds,
     const std::int64_t index = i % ds.size();
     Outstanding o;
     o.index = index;
-    o.future = engine.submit(extract_image(ds, index));
+    o.future = fleet.submit(tenant, extract_image(ds, index));
     window.push_back(std::move(o));
     while (window.size() > config.max_outstanding) drain_one();
   }
-  engine.wait_idle();  // releases deterministic partial batches
+  fleet.wait_idle();  // releases deterministic partial batches
   while (!window.empty()) drain_one();
   const double wall =
       std::chrono::duration<double>(Clock::now() - t0).count();
@@ -77,7 +81,7 @@ LoadgenReport run_loadgen(InferenceEngine& engine, const data::Dataset& ds,
                               static_cast<double>(completed)
                         : 0.0;
   report.output_digest = digest;
-  report.stats = engine.stats();
+  report.stats = fleet.stats().tenants[static_cast<std::size_t>(tenant)].stats;
   return report;
 }
 

@@ -1,9 +1,9 @@
-// Closed-loop load generator over an InferenceEngine.
+// Closed-loop load generator over one FleetServer tenant.
 //
 // Submits single-image requests drawn round-robin from a dataset, paced
-// to a target QPS (0 = as fast as the engine accepts them), with a bound
+// to a target QPS (0 = as fast as the fleet accepts them), with a bound
 // on outstanding requests (closed loop: the generator blocks on the
-// oldest future once the window is full, so it never outruns the engine
+// oldest future once the window is full, so it never outruns the fleet
 // unboundedly). Collects per-request results, verifies labels against
 // the dataset, and digests every result (logits bytes + predicted label,
 // in arrival order) so deterministic-mode runs can be compared
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 
 namespace tinyadc::serve {
@@ -34,7 +33,7 @@ struct LoadgenConfig {
 };
 
 struct LoadgenReport {
-  ServeStats stats;             ///< engine snapshot after the run drained
+  ServeStats stats;             ///< tenant snapshot after the run drained
   double achieved_qps = 0.0;    ///< completed requests / loadgen wall time
   double accuracy = 0.0;        ///< predicted label vs dataset label
   std::uint64_t output_digest = 0;  ///< FNV over (logits, label) by seq
@@ -43,8 +42,11 @@ struct LoadgenReport {
   std::string to_json() const;
 };
 
-/// Runs the load and drains the engine (wait_idle) before snapshotting.
-LoadgenReport run_loadgen(InferenceEngine& engine, const data::Dataset& ds,
+/// Runs the load against tenant index `tenant` of `fleet` and drains the
+/// fleet (wait_idle) before snapshotting that tenant's stats. Throws
+/// CheckError when the tenant's class count differs from the dataset's.
+LoadgenReport run_loadgen(FleetServer& fleet, int tenant,
+                          const data::Dataset& ds,
                           const LoadgenConfig& config);
 
 /// One tenant's traffic mix for the multi-tenant load generator.

@@ -18,7 +18,7 @@
 #include "core/pruner.hpp"
 #include "data/synthetic.hpp"
 #include "nn/models.hpp"
-#include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 
 namespace tinyadc::artifact {
 namespace {
@@ -120,19 +120,21 @@ msim::MsimStats total_stats(const msim::AnalogNetwork& analog) {
 }
 
 /// Serves the first 20 test images (cycled) through a fresh deterministic
-/// engine and digests logits+labels; also returns the sims' counter delta.
+/// one-tenant fleet and digests logits+labels; also returns the sims'
+/// counter delta.
 std::uint64_t serve_digest(const Fixture& f, msim::AnalogNetwork& analog,
                            int workers, msim::MsimStats* delta) {
   const msim::MsimStats before = total_stats(analog);
-  serve::ServeConfig cfg;
-  cfg.workers = workers;
+  serve::FleetServer fleet(serve::FleetConfig{workers});
+  serve::TenantConfig cfg;
+  cfg.name = "serve";
   cfg.max_batch = 8;
   cfg.deterministic = true;
-  serve::InferenceEngine engine(analog, cfg);
+  const int tenant = fleet.add_tenant(cfg, analog);
   std::vector<std::future<serve::InferenceResult>> futures;
   for (std::int64_t i = 0; i < 20; ++i)
-    futures.push_back(engine.submit(f.image(i % f.data.test.size())));
-  engine.wait_idle();
+    futures.push_back(fleet.submit(tenant, f.image(i % f.data.test.size())));
+  fleet.wait_idle();
   std::uint64_t h = serve::fnv1a(nullptr, 0);
   for (auto& fut : futures) {
     const auto r = fut.get();

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -306,12 +307,11 @@ TEST(Fleet, DeterministicAcrossWorkerCountsAndCoTenantLoad) {
     pl.name = "p";
     pl.max_batch = 4;
     pl.deterministic = true;
-    pl.pipeline_stages = 2;
     const int idp = fleet.add_tenant(pl, f.v1_path);
 
-    // "a" and "p" get the *same* 12-image stream: shared-pool and
-    // pipeline execution of one version must report identical counter
-    // deltas (the pipeline's timing probe is baseline-compensated).
+    // "a" and "p" get the *same* 12-image stream from two loads of one
+    // version: each tenant's counter delta must count only its own
+    // traffic, so the two report identical deltas and digests.
     std::vector<std::future<InferenceResult>> fa, fb, fp;
     for (std::int64_t i = 0; i < 20; ++i) {
       if (i < 12) fa.push_back(fleet.submit(ida, extract_image(f.data.test, i)));
@@ -338,7 +338,7 @@ TEST(Fleet, DeterministicAcrossWorkerCountsAndCoTenantLoad) {
     EXPECT_EQ(outs[run]["b"].stats.stats.batch_hist[4], 1U);
     EXPECT_EQ(outs[run]["p"].stats.stats.batch_hist[4], 3U);
 
-    // Same stream, same version ⇒ same ADC work, pipeline or not.
+    // Same stream, same version ⇒ same ADC work, whichever tenant.
     EXPECT_EQ(outs[run]["a"].stats.stats.adc_conversions,
               outs[run]["p"].stats.stats.adc_conversions);
     EXPECT_EQ(outs[run]["a"].stats.stats.dac_cycles,
@@ -611,63 +611,80 @@ TEST(Fleet, ResaveOverMappedPathKeepsServingOldVersionUntilSwap) {
 
 TEST(Fleet, HotSwapRecapturesAdcBaseline) {
   Fixture& f = fixture();
-  for (const int stages : {0, 2}) {
-    SCOPED_TRACE(stages == 0 ? "shared pool" : "pipeline");
-    FleetConfig fc;
-    fc.workers = 1;
-    FleetServer fleet(fc);
-    TenantConfig tc;
-    tc.name = "t";
-    tc.max_batch = 4;
-    tc.deterministic = true;
-    tc.pipeline_stages = stages;
-    const int id = fleet.add_tenant(tc, f.v1_path);
+  FleetConfig fc;
+  fc.workers = 1;
+  FleetServer fleet(fc);
+  TenantConfig tc;
+  tc.name = "t";
+  tc.max_batch = 4;
+  tc.deterministic = true;
+  const int id = fleet.add_tenant(tc, f.v1_path);
 
-    std::vector<std::future<InferenceResult>> futs;
-    for (std::int64_t i = 0; i < 8; ++i)
-      futs.push_back(fleet.submit(id, extract_image(f.data.test, i)));
-    fleet.wait_idle();
-    for (auto& fu : futs) (void)fu.get();
-    const ServeStats d1 = tenant_stats(fleet.stats(), "t").stats;
-    EXPECT_GT(d1.adc_conversions, 0);
-    EXPECT_GT(d1.dac_cycles, 0);
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::int64_t i = 0; i < 8; ++i)
+    futs.push_back(fleet.submit(id, extract_image(f.data.test, i)));
+  fleet.wait_idle();
+  for (auto& fu : futs) (void)fu.get();
+  const ServeStats d1 = tenant_stats(fleet.stats(), "t").stats;
+  EXPECT_GT(d1.adc_conversions, 0);
+  EXPECT_GT(d1.dac_cycles, 0);
 
-    // An idle swap must not move the delta: the old version's counters
-    // retire exactly, the new baseline absorbs the fresh load (and, for
-    // pipeline tenants, later the executor's timing probe).
-    EXPECT_EQ(fleet.swap_tenant("t", f.v2_path), 2U);
-    const ServeStats d1b = tenant_stats(fleet.stats(), "t").stats;
-    EXPECT_EQ(d1b.adc_conversions, d1.adc_conversions);
-    EXPECT_EQ(d1b.adc_clip_events, d1.adc_clip_events);
-    EXPECT_EQ(d1b.dac_cycles, d1.dac_cycles);
+  // An idle swap must not move the delta: the old version's counters
+  // retire exactly, the new baseline absorbs the fresh load.
+  EXPECT_EQ(fleet.swap_tenant("t", f.v2_path), 2U);
+  const ServeStats d1b = tenant_stats(fleet.stats(), "t").stats;
+  EXPECT_EQ(d1b.adc_conversions, d1.adc_conversions);
+  EXPECT_EQ(d1b.adc_clip_events, d1.adc_clip_events);
+  EXPECT_EQ(d1b.dac_cycles, d1.dac_cycles);
 
-    futs.clear();
-    for (std::int64_t i = 0; i < 8; ++i)
-      futs.push_back(fleet.submit(id, extract_image(f.data.test, i)));
-    fleet.wait_idle();
-    for (auto& fu : futs) EXPECT_EQ(fu.get().version, 2U);
-    const ServeStats d2 = tenant_stats(fleet.stats(), "t").stats;
+  futs.clear();
+  for (std::int64_t i = 0; i < 8; ++i)
+    futs.push_back(fleet.submit(id, extract_image(f.data.test, i)));
+  fleet.wait_idle();
+  for (auto& fu : futs) EXPECT_EQ(fu.get().version, 2U);
+  const ServeStats d2 = tenant_stats(fleet.stats(), "t").stats;
 
-    // Post-swap growth must equal a reference run of the same traffic on
-    // a fresh load of v2 — i.e. the delta is v1-served + v2-served with
-    // nothing double-counted and the probe compensated out.
-    artifact::Deployment dep = artifact::load_artifact(f.v2_path);
-    const msim::MsimStats before = sims_total(*dep.analog);
-    msim::AnalogSession session(*dep.analog);
-    (void)session.forward(make_batch(f.data.test, 0, 4));
-    (void)session.forward(make_batch(f.data.test, 4, 4));
-    const msim::MsimStats after = sims_total(*dep.analog);
-    EXPECT_EQ(d2.adc_conversions - d1.adc_conversions,
-              after.adc_conversions - before.adc_conversions);
-    EXPECT_EQ(d2.adc_clip_events - d1.adc_clip_events,
-              after.adc_clip_events - before.adc_clip_events);
-    EXPECT_EQ(d2.dac_cycles - d1.dac_cycles,
-              after.dac_cycles - before.dac_cycles);
-  }
+  // Post-swap growth must equal a reference run of the same traffic on
+  // a fresh load of v2 — i.e. the delta is v1-served + v2-served with
+  // nothing double-counted.
+  artifact::Deployment dep = artifact::load_artifact(f.v2_path);
+  const msim::MsimStats before = sims_total(*dep.analog);
+  msim::AnalogSession session(*dep.analog);
+  (void)session.forward(make_batch(f.data.test, 0, 4));
+  (void)session.forward(make_batch(f.data.test, 4, 4));
+  const msim::MsimStats after = sims_total(*dep.analog);
+  EXPECT_EQ(d2.adc_conversions - d1.adc_conversions,
+            after.adc_conversions - before.adc_conversions);
+  EXPECT_EQ(d2.adc_clip_events - d1.adc_clip_events,
+            after.adc_clip_events - before.adc_clip_events);
+  EXPECT_EQ(d2.dac_cycles - d1.dac_cycles,
+            after.dac_cycles - before.dac_cycles);
 }
 
 // ---------------------------------------------------------------------------
 // Admission control
+
+TEST(Fleet, AddTenantRejectsUnsizableMaxBatch) {
+  Fixture& f = fixture();
+  FleetServer fleet(FleetConfig{1});
+  TenantConfig tc;
+  tc.name = "t";
+  // SIZE_MAX is what a negative max-batch wraps to; its histogram of
+  // max_batch + 1 counters would wrap to an empty vector.
+  for (const std::size_t bad :
+       {std::size_t{0}, std::numeric_limits<std::size_t>::max(),
+        std::size_t{1} << 40}) {
+    tc.max_batch = bad;
+    EXPECT_THROW((void)fleet.add_tenant(tc, f.v1_path), CheckError) << bad;
+    EXPECT_THROW((void)fleet.add_tenant(tc, *f.v1.analog), CheckError) << bad;
+  }
+  EXPECT_EQ(fleet.tenant_count(), 0U);
+  tc.max_batch = 65536;  // the largest accepted batch
+  const int id = fleet.add_tenant(tc, *f.v1.analog);
+  const InferenceResult r =
+      fleet.submit(id, extract_image(f.data.test, 0)).get();
+  EXPECT_EQ(r.logits, oracle(f.v1, f.data.test, 0));
+}
 
 TEST(Fleet, MaxQueueRejectionIsPerTenant) {
   Fixture& f = fixture();
@@ -852,7 +869,6 @@ TEST(Fleet, SoakConcurrentSubmitsSwapsAndStats) {
   y.name = "y";
   y.max_batch = 4;
   y.max_wait_us = 100;
-  y.pipeline_stages = 2;
   const int idy = fleet.add_tenant(y, f.v1_path);
   const std::int64_t comp0 = msim::AnalogLayerSim::plan_compilations();
   const std::int64_t cal0 = msim::AnalogNetwork::calibration_runs();

@@ -1,7 +1,9 @@
-// Concurrent serving engine: correctness vs the sequential evaluate path,
-// deterministic-mode byte-identity across worker counts, deadline-flush
-// behaviour, shutdown with in-flight requests, queue bounds, and a small
-// concurrent soak (run under TSan in CI at TINYADC_THREADS=4).
+// Single-model serving through a one-tenant FleetServer (the setup of the
+// CLI `serve`/`loadgen` and bench_serve): correctness vs the sequential
+// evaluate path, deterministic-mode byte-identity across worker counts,
+// deadline-flush behaviour, shutdown with in-flight requests, queue
+// bounds, and a small concurrent soak (run under TSan in CI at
+// TINYADC_THREADS=4).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,16 +67,35 @@ Fixture& fixture() {
   return f;
 }
 
-/// Serves the first `n` test images through a fresh engine and returns
+/// A fleet of `workers` shared workers serving the fixture's compiled
+/// network as its one tenant.
+struct OneTenant {
+  FleetServer fleet;
+  int id = -1;
+
+  OneTenant(int workers, const TenantConfig& config)
+      : fleet(FleetConfig{workers}) {
+    TenantConfig tc = config;
+    tc.name = "serve";
+    id = fleet.add_tenant(tc, *fixture().analog);
+  }
+
+  std::future<InferenceResult> submit(Tensor image) {
+    return fleet.submit(id, std::move(image));
+  }
+  ServeStats stats() const { return fleet.stats().tenants[0].stats; }
+};
+
+/// Serves the first `n` test images (cycled) through `serving` and returns
 /// the per-request results ordered by seq.
-std::vector<InferenceResult> serve_stream(InferenceEngine& engine,
+std::vector<InferenceResult> serve_stream(OneTenant& serving,
                                           std::int64_t n) {
   const Fixture& f = fixture();
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i)
-    futures.push_back(engine.submit(f.image(i % f.data.test.size())));
-  engine.wait_idle();
+    futures.push_back(serving.submit(f.image(i % f.data.test.size())));
+  serving.fleet.wait_idle();
   std::vector<InferenceResult> results;
   results.reserve(futures.size());
   for (auto& fut : futures) results.push_back(fut.get());
@@ -115,14 +136,13 @@ TEST(Histogram, PercentilesAreOrderedAndBounded) {
 TEST(Serve, MatchesSequentialForwardAndEvaluate) {
   Fixture& f = fixture();
   const std::int64_t n = f.data.test.size();
-  ServeConfig cfg;
-  cfg.workers = 2;
+  TenantConfig cfg;
   cfg.max_batch = 4;
   std::vector<InferenceResult> results;
   {
-    InferenceEngine engine(*f.analog, cfg);
-    results = serve_stream(engine, n);
-    const ServeStats stats = engine.stats();
+    OneTenant serving(2, cfg);
+    results = serve_stream(serving, n);
+    const ServeStats stats = serving.stats();
     EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(n));
     EXPECT_GT(stats.batches, 0U);
     EXPECT_GT(stats.adc_conversions, 0);
@@ -146,26 +166,24 @@ TEST(Serve, MatchesSequentialForwardAndEvaluate) {
         << "image " << i;
     if (r.label == f.data.test.labels[static_cast<std::size_t>(i)]) ++correct;
   }
-  const double engine_accuracy =
+  const double served_accuracy =
       static_cast<double>(correct) / static_cast<double>(n);
-  EXPECT_DOUBLE_EQ(engine_accuracy, f.analog->evaluate(f.data.test, 16));
+  EXPECT_DOUBLE_EQ(served_accuracy, f.analog->evaluate(f.data.test, 16));
 }
 
 TEST(Serve, DeterministicModeByteIdenticalAcrossWorkerCounts) {
-  Fixture& f = fixture();
   constexpr std::int64_t kRequests = 20;
   std::uint64_t digests[2] = {0, 0};
   ServeStats stats[2];
   const int worker_counts[2] = {1, 4};
   for (int run = 0; run < 2; ++run) {
-    ServeConfig cfg;
-    cfg.workers = worker_counts[run];
+    TenantConfig cfg;
     cfg.max_batch = 8;
     cfg.deterministic = true;
-    InferenceEngine engine(*f.analog, cfg);
-    const auto results = serve_stream(engine, kRequests);
+    OneTenant serving(worker_counts[run], cfg);
+    const auto results = serve_stream(serving, kRequests);
     digests[run] = digest_results(results);
-    stats[run] = engine.stats();
+    stats[run] = serving.stats();
     // Batch composition is pinned: two full batches of 8 plus the drained
     // partial of 4, regardless of worker count.
     ASSERT_LT(8U, stats[run].batch_hist.size());
@@ -183,21 +201,20 @@ TEST(Serve, DeterministicModeByteIdenticalAcrossWorkerCounts) {
 
 TEST(Serve, DeadlineFlushesPartialBatch) {
   Fixture& f = fixture();
-  ServeConfig cfg;
-  cfg.workers = 1;
+  TenantConfig cfg;
   cfg.max_batch = 64;  // never fills from 3 requests
   cfg.max_wait_us = 50000;  // generous: single-core CI boxes jitter
-  InferenceEngine engine(*f.analog, cfg);
+  OneTenant serving(1, cfg);
   std::vector<std::future<InferenceResult>> futures;
   for (std::int64_t i = 0; i < 3; ++i)
-    futures.push_back(engine.submit(f.image(i)));
+    futures.push_back(serving.submit(f.image(i)));
   // No drain, no shutdown: the deadline alone must flush the partial
   // batch of 3.
   for (auto& fut : futures) {
     const InferenceResult r = fut.get();
     EXPECT_EQ(r.batch_size, 3U);
   }
-  const ServeStats stats = engine.stats();
+  const ServeStats stats = serving.stats();
   EXPECT_EQ(stats.requests, 3U);
   EXPECT_EQ(stats.batches, 1U);
   ASSERT_LT(3U, stats.batch_hist.size());
@@ -206,52 +223,50 @@ TEST(Serve, DeadlineFlushesPartialBatch) {
 
 TEST(Serve, ShutdownServesInflightRequests) {
   Fixture& f = fixture();
-  ServeConfig cfg;
-  cfg.workers = 2;
+  TenantConfig cfg;
   cfg.max_batch = 4;
   cfg.deterministic = true;  // nothing flushes until shutdown drains
-  InferenceEngine engine(*f.analog, cfg);
+  OneTenant serving(2, cfg);
   std::vector<std::future<InferenceResult>> futures;
   for (std::int64_t i = 0; i < 18; ++i)
-    futures.push_back(engine.submit(f.image(i % f.data.test.size())));
-  engine.shutdown();  // in-flight requests are never dropped
+    futures.push_back(serving.submit(f.image(i % f.data.test.size())));
+  serving.fleet.shutdown();  // in-flight requests are never dropped
   for (auto& fut : futures) EXPECT_NO_THROW((void)fut.get());
-  EXPECT_EQ(engine.stats().requests, 18U);
-  EXPECT_THROW((void)engine.submit(f.image(0)), CheckError);
+  EXPECT_EQ(serving.stats().requests, 18U);
+  EXPECT_THROW((void)serving.submit(f.image(0)), CheckError);
 }
 
 TEST(Serve, QueueBoundRejectsExcessSubmits) {
   Fixture& f = fixture();
-  ServeConfig cfg;
-  cfg.workers = 1;
+  TenantConfig cfg;
   cfg.max_batch = 8;
   cfg.deterministic = true;  // worker holds until a full batch: queue fills
   cfg.max_queue = 4;
-  InferenceEngine engine(*f.analog, cfg);
+  OneTenant serving(1, cfg);
   std::vector<std::future<InferenceResult>> futures;
   for (std::int64_t i = 0; i < 6; ++i)
-    futures.push_back(engine.submit(f.image(0)));
+    futures.push_back(serving.submit(f.image(0)));
   // The 5th and 6th submits overflowed the bound of 4.
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(futures[i].valid());
   EXPECT_THROW((void)futures[4].get(), std::runtime_error);
   EXPECT_THROW((void)futures[5].get(), std::runtime_error);
-  engine.wait_idle();
+  serving.fleet.wait_idle();
   for (int i = 0; i < 4; ++i) EXPECT_NO_THROW((void)futures[i].get());
-  const ServeStats stats = engine.stats();
+  const ServeStats stats = serving.stats();
   EXPECT_EQ(stats.rejected, 2U);
   EXPECT_EQ(stats.requests, 4U);
 }
 
 TEST(Serve, LoadgenReportsPercentilesAndAccuracy) {
   Fixture& f = fixture();
-  ServeConfig cfg;
-  cfg.workers = 2;
+  TenantConfig cfg;
   cfg.max_batch = 4;
-  InferenceEngine engine(*f.analog, cfg);
+  OneTenant serving(2, cfg);
   LoadgenConfig lc;
   lc.requests = 30;
   lc.target_qps = 0.0;
-  const LoadgenReport report = run_loadgen(engine, f.data.test, lc);
+  const LoadgenReport report =
+      run_loadgen(serving.fleet, serving.id, f.data.test, lc);
   EXPECT_EQ(report.stats.requests, 30U);
   EXPECT_GT(report.achieved_qps, 0.0);
   EXPECT_LE(report.stats.p50_us, report.stats.p99_us);
@@ -264,23 +279,33 @@ TEST(Serve, LoadgenReportsPercentilesAndAccuracy) {
   EXPECT_NE(json.find("\"accuracy\""), std::string::npos);
 }
 
+TEST(Serve, LoadgenRejectsADatasetOfAnotherClassCount) {
+  Fixture& f = fixture();
+  data::Dataset other = f.data.test;
+  other.num_classes = 3;  // the tenant serves 4 classes
+  OneTenant serving(1, TenantConfig{});
+  LoadgenConfig lc;
+  lc.requests = 4;
+  EXPECT_THROW((void)run_loadgen(serving.fleet, serving.id, other, lc),
+               CheckError);
+}
+
 /// Small soak: concurrent submitters + a stats poller against 4 workers.
 /// Run under TSan in CI (TINYADC_THREADS=4) to shake out data races
 /// between the queue, the batcher, the shared sims and the stats path.
 TEST(Serve, SoakConcurrentSubmittersAndStats) {
   Fixture& f = fixture();
-  ServeConfig cfg;
-  cfg.workers = 4;
+  TenantConfig cfg;
   cfg.max_batch = 4;
   cfg.max_wait_us = 100;
-  InferenceEngine engine(*f.analog, cfg);
+  OneTenant serving(4, cfg);
   constexpr int kSubmitters = 3;
   constexpr int kPerSubmitter = 24;
   std::atomic<int> completed{0};
   std::atomic<bool> polling{true};
   std::thread poller([&] {
     while (polling.load()) {
-      const ServeStats s = engine.stats();
+      const ServeStats s = serving.stats();
       ASSERT_LE(s.requests,
                 static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -290,7 +315,7 @@ TEST(Serve, SoakConcurrentSubmittersAndStats) {
   for (int t = 0; t < kSubmitters; ++t)
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerSubmitter; ++i) {
-        auto fut = engine.submit(
+        auto fut = serving.submit(
             f.image((t * kPerSubmitter + i) % f.data.test.size()));
         const InferenceResult r = fut.get();  // closed loop per submitter
         ASSERT_EQ(r.logits.size(), 4U);
@@ -300,9 +325,9 @@ TEST(Serve, SoakConcurrentSubmittersAndStats) {
   for (auto& t : submitters) t.join();
   polling.store(false);
   poller.join();
-  engine.wait_idle();
+  serving.fleet.wait_idle();
   EXPECT_EQ(completed.load(), kSubmitters * kPerSubmitter);
-  EXPECT_EQ(engine.stats().requests,
+  EXPECT_EQ(serving.stats().requests,
             static_cast<std::uint64_t>(kSubmitters * kPerSubmitter));
 }
 

@@ -1,6 +1,7 @@
 # End-to-end CLI smoke: train → prune → map → report → fault → serve on a
 # tiny budget, including a deployment-artifact save and a serve cold-start
-# from it; any non-zero exit fails the test.
+# from it; any non-zero exit fails the test, and every expect_error case
+# must exit 1 with a diagnostic.
 function(run)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
@@ -9,13 +10,17 @@ function(run)
   endif()
 endfunction()
 
-# Expects a non-zero exit (the CLI must reject the invocation).
-function(expect_fail)
+# Expects the CLI to reject the invocation: exit 1 with an "error: ..."
+# line on stderr matching `pattern`. A crash (a signal, not exit 1) fails.
+function(expect_error pattern)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
                   ERROR_VARIABLE _stderr OUTPUT_VARIABLE _stdout)
-  if(rc EQUAL 0)
-    string(REPLACE ";" " " pretty "${ARGN}")
-    message(FATAL_ERROR "command unexpectedly succeeded: ${pretty}")
+  string(REPLACE ";" " " pretty "${ARGN}")
+  if(NOT rc STREQUAL "1")
+    message(FATAL_ERROR "expected exit 1, got '${rc}': ${pretty}")
+  endif()
+  if(NOT _stderr MATCHES "error: .*${pattern}")
+    message(FATAL_ERROR "stderr lacks '${pattern}': ${pretty}\n${_stderr}")
   endif()
 endfunction()
 
@@ -63,6 +68,23 @@ foreach(key tenants aggregate loadgen output_digest artifact_digest
     message(FATAL_ERROR "fleet JSON missing key \"${key}\"")
   endif()
 endforeach()
-# Unknown flags must be an error, not a silent default.
-expect_fail(${CLI} map --net resnet18 --width-mult 0.0625 --image-size 8
-    --classes 10 --in ${WORK}/smoke_pruned.bin --cp-rat 4)
+# Unknown flags and tenant keys must be an error, not a silent default.
+expect_error("--cp-rat" ${CLI} map --net resnet18 --width-mult 0.0625
+    --image-size 8 --classes 10 --in ${WORK}/smoke_pruned.bin --cp-rat 4)
+expect_error("--pipeline-stages" ${CLI} serve
+    --artifact ${WORK}/smoke_deploy.tadc --dataset cifar10 --image-size 8
+    --train-per-class 8 --test-per-class 4 --requests 8 --pipeline-stages 2)
+expect_error("'stages'" ${CLI} fleet --dataset cifar10 --image-size 8
+    --train-per-class 8 --test-per-class 4
+    --tenant "t=${WORK}/smoke_deploy.tadc,stages=2")
+# Numbers parse strictly: a negative batch (which would wrap to SIZE_MAX),
+# a trailing suffix, an exponent or a word is an error naming the flag or
+# key.
+expect_error("--max-batch" ${CLI} serve --artifact ${WORK}/smoke_deploy.tadc
+    --dataset cifar10 --image-size 8 --train-per-class 8 --test-per-class 4
+    --requests 8 --max-batch -1)
+foreach(bad -1 4x 1e3 abc)
+  expect_error("'max-batch'" ${CLI} fleet --dataset cifar10 --image-size 8
+      --train-per-class 8 --test-per-class 4 --requests 8
+      --tenant "t=${WORK}/smoke_deploy.tadc,max-batch=${bad}")
+endforeach()

@@ -6,8 +6,9 @@
 //   map     map a checkpoint onto crossbars and print the ADC/array table
 //   report  price the accelerator (area/power) and the pipeline schedule
 //   fault   evaluate accuracy under stuck-at faults (optionally remapped)
-//   serve   push the test set through the concurrent serving engine
-//   loadgen closed-loop load generator at a target QPS over the engine
+//   serve   push the test set through a one-tenant serving fleet
+//   loadgen closed-loop load generator at a target QPS over that fleet
+//   fleet   multi-tenant serving with per-tenant traffic and hot-swaps
 //
 // Examples:
 //   tinyadc train --net resnet18 --dataset cifar10 --epochs 10 --out m.bin
@@ -25,12 +26,16 @@
 //                 --save-artifact deploy.tadc
 //   tinyadc serve --artifact deploy.tadc --dataset cifar10 --workers 4
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,9 +55,45 @@ namespace {
 
 using namespace tinyadc;
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Parses all of `text` as a base-10 integer in [lo, hi]. Anything else —
+/// a trailing suffix ("4x"), an exponent ("1e3"), a sign outside the range
+/// ("-1"), an empty value — throws a CheckError naming `what`.
+std::int64_t parse_int(const std::string& what, const std::string& text,
+                       std::int64_t lo, std::int64_t hi = kIntMax) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  TINYADC_CHECK(ec == std::errc() && ptr == end && v >= lo && v <= hi,
+                what << " expects an integer in [" << lo << ", " << hi
+                     << "], got '" << text << "'");
+  return v;
+}
+
+/// Parses all of `text` as a finite number in [0, hi]; otherwise throws a
+/// CheckError naming `what`.
+double parse_double(const std::string& what, const std::string& text,
+                    double hi = std::numeric_limits<double>::max()) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc() && ptr == end && std::isfinite(v) && v >= 0.0 &&
+      v <= hi)
+    return v;
+  std::ostringstream range;
+  range << ">= 0";
+  if (hi < std::numeric_limits<double>::max()) range << " and <= " << hi;
+  TINYADC_CHECK(false, what << " expects a finite number " << range.str()
+                            << ", got '" << text << "'");
+  return v;
+}
+
 /// Minimal --key value argument map with typed getters and defaults.
 /// Flags may repeat (e.g. one --tenant per fleet tenant): the scalar
-/// getters return the last occurrence, get_all() returns every one.
+/// getters return the last occurrence, get_all() returns every one. The
+/// numeric getters parse strictly (parse_int / parse_double); every
+/// numeric flag of this CLI is non-negative.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -72,13 +113,17 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second.back();
   }
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
+  std::int64_t get_int(const std::string& key, std::int64_t fallback,
+                       std::int64_t lo = 0, std::int64_t hi = kIntMax) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second.back());
+    return it == values_.end()
+               ? fallback
+               : parse_int("--" + key, it->second.back(), lo, hi);
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second.back());
+    return it == values_.end() ? fallback
+                               : parse_double("--" + key, it->second.back());
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
   std::vector<std::string> get_all(const std::string& key) const {
@@ -123,10 +168,10 @@ const std::vector<std::string> kArtifactSaveFlags = {"save-artifact", "sigma"};
 
 data::DatasetPair load_dataset(const Args& args) {
   auto spec = data::tier_by_name(args.get("dataset", "cifar10"));
-  spec.image_size = args.get_int("image-size", 8);
-  spec.train_per_class = args.get_int("train-per-class", 24);
-  spec.test_per_class = args.get_int("test-per-class", 8);
-  if (args.has("classes")) spec.num_classes = args.get_int("classes", 10);
+  spec.image_size = args.get_int("image-size", 8, 1);
+  spec.train_per_class = args.get_int("train-per-class", 24, 1);
+  spec.test_per_class = args.get_int("test-per-class", 8, 1);
+  if (args.has("classes")) spec.num_classes = args.get_int("classes", 10, 1);
   return data::make_synthetic(spec);
 }
 
@@ -135,7 +180,7 @@ data::DatasetPair load_dataset(const Args& args) {
 nn::ModelConfig model_config(const Args& args, std::int64_t num_classes) {
   nn::ModelConfig cfg;
   cfg.num_classes = num_classes;
-  cfg.image_size = args.get_int("image-size", 8);
+  cfg.image_size = args.get_int("image-size", 8, 1);
   cfg.width_mult = static_cast<float>(args.get_double("width-mult", 0.125));
   return cfg;
 }
@@ -150,11 +195,11 @@ std::unique_ptr<nn::Model> load_model(const Args& args,
 
 xbar::MappingConfig mapping_config(const Args& args) {
   xbar::MappingConfig cfg;
-  const auto dim = args.get_int("xbar", 16);
+  const auto dim = args.get_int("xbar", 16, 1);
   cfg.dims = {dim, dim};
-  cfg.weight_bits = static_cast<int>(args.get_int("weight-bits", 8));
-  cfg.cell_bits = static_cast<int>(args.get_int("cell-bits", 2));
-  cfg.input_bits = static_cast<int>(args.get_int("input-bits", 8));
+  cfg.weight_bits = static_cast<int>(args.get_int("weight-bits", 8, 1));
+  cfg.cell_bits = static_cast<int>(args.get_int("cell-bits", 2, 1));
+  cfg.input_bits = static_cast<int>(args.get_int("input-bits", 8, 1));
   return cfg;
 }
 
@@ -193,7 +238,7 @@ int cmd_train(const Args& args) {
   auto model = load_model(args, data.train.num_classes);
   nn::TrainConfig tc;
   tc.epochs = static_cast<int>(args.get_int("epochs", 10));
-  tc.batch_size = static_cast<std::size_t>(args.get_int("batch", 32));
+  tc.batch_size = static_cast<std::size_t>(args.get_int("batch", 32, 1));
   tc.sgd.lr = static_cast<float>(args.get_double("lr", 0.05));
   tc.sgd.total_epochs = tc.epochs;
   tc.verbose = args.has("verbose");
@@ -232,7 +277,7 @@ int cmd_prune(const Args& args) {
 
   core::SpecOptions opts;
   opts.include_linear = args.has("include-linear");
-  auto specs = core::uniform_cp_specs(*model, args.get_int("cp-rate", 8),
+  auto specs = core::uniform_cp_specs(*model, args.get_int("cp-rate", 8, 1),
                                       cfg.xbar, opts);
   const double filter_frac = args.get_double("filter-frac", 0.0);
   const double shape_frac = args.get_double("shape-frac", 0.0);
@@ -259,7 +304,7 @@ int cmd_prune(const Args& args) {
 int cmd_map(const Args& args) {
   args.expect_known(kDatasetFlags + kModelFlags + kMappingFlags +
                     kArtifactSaveFlags);
-  auto model = load_model(args, args.get_int("classes", 10));
+  auto model = load_model(args, args.get_int("classes", 10, 1));
   const auto cfg = mapping_config(args);
   const auto net = xbar::map_model(*model, cfg);
   std::printf("%-26s %8s %8s %10s %8s %8s\n", "layer", "dense", "active",
@@ -277,7 +322,7 @@ int cmd_map(const Args& args) {
               net.worst_design_adc_bits_after_first());
   if (args.has("save-artifact")) {
     const auto data = load_dataset(args);  // calibration inputs
-    TINYADC_CHECK(data.train.num_classes == args.get_int("classes", 10),
+    TINYADC_CHECK(data.train.num_classes == args.get_int("classes", 10, 1),
                   "--save-artifact needs --classes to match the dataset ("
                       << data.train.num_classes << " classes)");
     save_deployment(args, *model, data, {}, {});
@@ -288,13 +333,13 @@ int cmd_map(const Args& args) {
 int cmd_report(const Args& args) {
   args.expect_known(kModelFlags + kMappingFlags +
                     std::vector<std::string>{"classes", "image-size"});
-  auto model = load_model(args, args.get_int("classes", 10));
+  auto model = load_model(args, args.get_int("classes", 10, 1));
   const auto cfg = mapping_config(args);
   const auto net = xbar::map_model(*model, cfg);
   const hw::CostConstants constants;
   const auto acc_report = hw::build_accelerator(net, constants);
   std::printf("%s\n", hw::to_table(acc_report).c_str());
-  const std::int64_t side = args.get_int("image-size", 8);
+  const std::int64_t side = args.get_int("image-size", 8, 1);
   const auto mvms = hw::mvms_per_inference(*model, {3, side, side});
   const auto cost = hw::estimate_inference(net, mvms, constants);
   std::printf("per-image: %.2f us, %.3f uJ (ADC %.0f%%)\n",
@@ -315,7 +360,7 @@ int cmd_fault(const Args& args) {
   fault::FaultSpec spec;
   spec.rate = args.get_double("rate", 0.10);
   spec.sa0_fraction = args.get_double("sa0-fraction", 1.0);
-  const int trials = static_cast<int>(args.get_int("trials", 3));
+  const int trials = static_cast<int>(args.get_int("trials", 3, 1));
   const auto plain =
       fault::evaluate_under_faults(*model, data.test, cfg, spec, trials);
   std::printf("clean %.2f%%  faulted %.2f%% (drop %.2fpp, min %.2f%%)\n",
@@ -331,78 +376,63 @@ int cmd_fault(const Args& args) {
   return 0;
 }
 
-serve::ServeConfig serve_config(const Args& args) {
-  serve::ServeConfig cfg;
-  cfg.workers = static_cast<int>(args.get_int("workers", 2));
-  cfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8));
+/// The one tenant `serve` / `loadgen` run: the fleet tenant config their
+/// flags describe.
+serve::TenantConfig serve_tenant_config(const Args& args) {
+  serve::TenantConfig cfg;
+  cfg.name = "serve";
+  cfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 8, 1));
   cfg.max_wait_us = args.get_int("max-wait-us", 1000);
   cfg.deterministic = args.has("deterministic");
   cfg.max_queue = static_cast<std::size_t>(args.get_int("max-queue", 0));
-  cfg.pipeline_stages =
-      static_cast<int>(args.get_int("pipeline-stages", 0));
   return cfg;
 }
 
-/// Shared by `serve` and `loadgen`: obtain a calibrated analog network —
-/// either the full in-process pipeline (map + compile + calibrate) or a
-/// millisecond cold-start from a deployment artifact — then run the engine
-/// under the load generator and print (or dump) the stats.
+/// Shared by `serve` and `loadgen`: deploy a calibrated analog network as
+/// the one tenant of a fleet — either a millisecond cold-start the tenant
+/// loads from a deployment artifact, or the full in-process pipeline (map +
+/// compile + calibrate) — then run the load generator against it and print
+/// (or dump) the tenant's stats.
 int run_serving(const Args& args, double target_qps,
                 std::int64_t default_requests) {
   const auto data = load_dataset(args);
   std::unique_ptr<nn::Model> model;
   std::optional<xbar::MappedNetwork> net;
-  std::optional<msim::AnalogNetwork> analog_local;
-  std::optional<artifact::Deployment> dep;
-  msim::AnalogNetwork* analog = nullptr;
+  std::optional<msim::AnalogNetwork> analog;
+  serve::FleetConfig fc;
+  fc.workers = static_cast<int>(args.get_int("workers", 2, 1));
+  serve::FleetServer fleet(fc);
+  int tenant = -1;
   if (args.has("artifact")) {
     const std::string path = args.get("artifact", "deploy.tadc");
     const bool mmap_load = args.has("mmap");
     const auto t0 = std::chrono::steady_clock::now();
     // --mmap: zero-copy load with async cold-section streaming; the plan
     // streams execute straight out of the page cache (DESIGN.md §14).
-    dep.emplace(mmap_load
-                    ? artifact::load_artifact_mapped(path,
-                                                     /*async_stream=*/true)
-                    : artifact::load_artifact(path));
+    tenant = fleet.add_tenant(serve_tenant_config(args), path, mmap_load);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    TINYADC_CHECK(dep->meta.model_config.num_classes == data.train.num_classes,
-                  "artifact serves " << dep->meta.model_config.num_classes
-                                     << " classes, dataset has "
-                                     << data.train.num_classes);
-    analog = dep->analog.get();
-    std::printf("loaded %s (%s%s) in %.2f ms — no recompile, no recalibrate\n",
-                path.c_str(), dep->meta.arch.c_str(),
-                mmap_load ? ", mapped" : "", ms);
+    std::printf("loaded %s%s in %.2f ms — no recompile, no recalibrate\n",
+                path.c_str(), mmap_load ? " (mapped)" : "", ms);
   } else {
     model = load_model(args, data.train.num_classes);
     net.emplace(xbar::map_model(*model, mapping_config(args)));
     msim::MsimConfig mcfg;
     mcfg.variation_sigma = args.get_double("sigma", 0.0);
-    analog_local.emplace(*model, *net, mcfg);
-    analog_local->calibrate(data.train, 16);
-    analog = &*analog_local;
+    analog.emplace(*model, *net, mcfg);
+    analog->calibrate(data.train, 16);
+    tenant = fleet.add_tenant(serve_tenant_config(args), *analog);
   }
 
-  serve::InferenceEngine engine(*analog, serve_config(args));
   serve::LoadgenConfig lc;
-  lc.requests = args.get_int("requests", default_requests);
+  lc.requests = args.get_int("requests", default_requests, 1,
+                             std::numeric_limits<std::int64_t>::max());
   lc.target_qps = target_qps;
   lc.max_outstanding =
-      static_cast<std::size_t>(args.get_int("outstanding", 64));
-  auto report = serve::run_loadgen(engine, data.test, lc);
-  engine.shutdown();
-  if (dep.has_value()) {
-    // Surface the load-phase breakdown in the shared stats schema (table
-    // and JSON alike). finish_streaming() also collects the async io
-    // stage's wall time — long since done by the end of the run.
-    dep->finish_streaming();
-    report.stats.load_map_ms = dep->load_phases.map_ms;
-    report.stats.load_validate_ms = dep->load_phases.validate_ms;
-    report.stats.load_stream_ms = dep->load_phases.stream_ms;
-  }
+      static_cast<std::size_t>(args.get_int("outstanding", 64, 1));
+  const auto report = serve::run_loadgen(fleet, tenant, data.test, lc);
+  fleet.shutdown();
 
   if (args.has("json")) {
     const std::string path = args.get("json", "1");
@@ -425,15 +455,15 @@ int run_serving(const Args& args, double target_qps,
 const std::vector<std::string> kServeFlags = {
     "sigma",     "workers",  "max-batch",   "max-wait-us", "deterministic",
     "max-queue", "requests", "outstanding", "json",        "artifact",
-    "pipeline-stages", "mmap"};
+    "mmap"};
 
 int cmd_serve(const Args& args) {
   args.expect_known(kDatasetFlags + kModelFlags + kMappingFlags +
                     kServeFlags);
   // One pass over the test set (cycled up to --requests), as fast as the
-  // engine accepts work.
-  const auto data_size = args.get_int("test-per-class", 8) *
-                         args.get_int("classes", 10);
+  // fleet accepts work.
+  const auto data_size = args.get_int("test-per-class", 8, 1) *
+                         args.get_int("classes", 10, 1);
   return run_serving(args, /*target_qps=*/0.0,
                      /*default_requests=*/std::max<std::int64_t>(
                          data_size, 32));
@@ -453,7 +483,8 @@ TenantSpec parse_tenant_spec(const std::string& spec, const Args& args) {
   TenantSpec out;
   out.config.deterministic = args.has("deterministic");
   out.mmap = args.has("mmap");
-  out.load.requests = args.get_int("requests", 256);
+  out.load.requests = args.get_int("requests", 256, 1,
+                                   std::numeric_limits<std::int64_t>::max());
   out.load.qps = args.get_double("qps", 0.0);
   std::vector<std::string> tokens;
   std::size_t start = 0;
@@ -480,16 +511,25 @@ TenantSpec parse_tenant_spec(const std::string& spec, const Args& args) {
       out.artifact = val;
       continue;
     }
-    if (key == "weight") out.config.weight = std::stod(val);
-    else if (key == "priority") out.config.priority = std::stoi(val);
-    else if (key == "max-batch") out.config.max_batch = std::stoull(val);
-    else if (key == "max-queue") out.config.max_queue = std::stoull(val);
-    else if (key == "max-wait-us") out.config.max_wait_us = std::stoll(val);
-    else if (key == "stages") out.config.pipeline_stages = std::stoi(val);
-    else if (key == "qps") out.load.qps = std::stod(val);
-    else if (key == "requests") out.load.requests = std::stoll(val);
-    else if (key == "burst") out.load.burst_factor = std::stod(val);
-    else if (key == "burst-period") out.load.burst_period_s = std::stod(val);
+    const std::string what = "tenant spec key '" + key + "'";
+    const auto int_val = [&](std::int64_t lo, std::int64_t hi = kIntMax) {
+      return parse_int(what, val, lo, hi);
+    };
+    const auto num_val = [&] { return parse_double(what, val); };
+    if (key == "weight") out.config.weight = num_val();
+    else if (key == "priority")
+      out.config.priority = static_cast<int>(int_val(0));
+    else if (key == "max-batch")
+      out.config.max_batch = static_cast<std::size_t>(int_val(1));
+    else if (key == "max-queue")
+      out.config.max_queue = static_cast<std::size_t>(int_val(0));
+    else if (key == "max-wait-us") out.config.max_wait_us = int_val(0);
+    else if (key == "qps") out.load.qps = num_val();
+    else if (key == "requests")
+      out.load.requests =
+          int_val(1, std::numeric_limits<std::int64_t>::max());
+    else if (key == "burst") out.load.burst_factor = num_val();
+    else if (key == "burst-period") out.load.burst_period_s = num_val();
     else if (key == "mmap") out.mmap = true;
     else if (key == "deterministic") out.config.deterministic = true;
     else
@@ -519,7 +559,7 @@ int cmd_fleet(const Args& args) {
     specs.push_back(parse_tenant_spec(raw, args));
 
   serve::FleetConfig fc;
-  fc.workers = static_cast<int>(args.get_int("workers", 2));
+  fc.workers = static_cast<int>(args.get_int("workers", 2, 1));
   serve::FleetServer fleet(fc);
   std::vector<serve::TenantLoadSpec> loads;
   for (TenantSpec& spec : specs) {
@@ -528,11 +568,10 @@ int cmd_fleet(const Args& args) {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    std::printf("tenant %-12s <- %s%s (%.2f ms, prio %d, weight %.2f%s)\n",
+    std::printf("tenant %-12s <- %s%s (%.2f ms, prio %d, weight %.2f)\n",
                 spec.config.name.c_str(), spec.artifact.c_str(),
                 spec.mmap ? " [mapped]" : "", ms, spec.config.priority,
-                spec.config.weight,
-                spec.config.pipeline_stages > 0 ? ", pipelined" : "");
+                spec.config.weight);
     spec.load.dataset = &data.test;
     loads.push_back(spec.load);
   }
@@ -552,10 +591,9 @@ int cmd_fleet(const Args& args) {
     double frac = 0.5;
     const std::size_t at = path.find('@');
     if (at != std::string::npos) {
-      frac = std::stod(path.substr(at + 1));
+      frac = parse_double("--swap frac", path.substr(at + 1), 1.0);
       path = path.substr(0, at);
     }
-    TINYADC_CHECK(frac >= 0.0 && frac <= 1.0, "--swap frac must be in [0,1]");
     std::uint64_t target = 0;
     bool known = false;
     for (const TenantSpec& spec : specs)
@@ -652,8 +690,9 @@ void usage() {
       "fault flags   : --rate R  --sa0-fraction F  --trials N  --remap\n"
       "serve flags   : --workers N  --max-batch B  --max-wait-us T  "
       "--deterministic\n"
-      "                --pipeline-stages K (stage-parallel execution)\n"
-      "                --requests N  --qps Q (loadgen)  --json [path]\n"
+      "                --max-queue Q  --outstanding W  --requests N  "
+      "--qps Q (loadgen)\n"
+      "                --json [path]  (a one-tenant fleet)\n"
       "artifact flags: --save-artifact out.tadc (train|prune|map: write a "
       "deployment\n"
       "                artifact with compiled plans + calibration; --sigma "
@@ -666,7 +705,7 @@ void usage() {
       "                cold-section streaming; bit-identical outputs)\n"
       "fleet flags   : --tenant \"name=a.tadc[,weight=W][,priority=P]"
       "[,max-batch=B]\n"
-      "                [,max-queue=Q][,stages=K][,qps=R][,requests=N]"
+      "                [,max-queue=Q][,max-wait-us=T][,qps=R][,requests=N]"
       "[,burst=F]\n"
       "                [,burst-period=S][,mmap][,deterministic]\" (repeat "
       "per tenant)\n"
